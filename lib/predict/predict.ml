@@ -83,9 +83,13 @@ type t = {
   mode : mode;
   seed : int;
   cells : (Cell.t, cstate) Hashtbl.t;
+  demoted : (Cell.t, unit) Hashtbl.t;
+      (** cells whose [mconf] is below [conf_max]: the only cells a
+          component can ever out-bid (see {!refine}) *)
 }
 
-let create ?(seed = 0x5bd1e995) mode = { mode; seed; cells = Hashtbl.create 64 }
+let create ?(seed = 0x5bd1e995) mode =
+  { mode; seed; cells = Hashtbl.create 64; demoted = Hashtbl.create 8 }
 let mode t = t.mode
 
 let component_names = [| "last-value"; "stride"; "context" |]
@@ -158,9 +162,13 @@ let observe t cell actual =
    and the tournament takes the cell over. *)
 let observe_master t cell ~supplied ~actual =
   let cs = cstate_of t cell in
+  let was_demoted = cs.mconf < conf_max in
   cs.mconf <-
     (if supplied = actual then min conf_max (cs.mconf + 1)
-     else max 0 (cs.mconf - 2))
+     else max 0 (cs.mconf - 2));
+  let demoted = cs.mconf < conf_max in
+  if demoted && not was_demoted then Hashtbl.replace t.demoted cell ()
+  else if was_demoted && not demoted then Hashtbl.remove t.demoted cell
 
 let master_confidence t cell =
   match Hashtbl.find_opt t.cells cell with
@@ -227,20 +235,35 @@ let predict t cell = Option.map snd (pick_with_conf t cell)
    healthy run. Only cells the master demonstrably stopped predicting
    (elided chains' residual reads) are taken over. [Pc] is control,
    never a value to predict. The result keeps the fragment's cell set —
-   only values move. *)
+   only values move. It is built on [frag] itself, which shares its
+   memory part with every checkpoint since the master's last seed: only
+   overridden cells are re-added, and with none overridden the result
+   is [frag], physically.
+
+   Component confidence saturates at [conf_max], so outside [Broken]
+   only [demoted] cells can be overridden, and those are all the fold
+   visits: O(|demoted| log n) per spawn, not a walk over the cumulative
+   live-in. *)
 let refine t frag =
-  if t.mode = Off then frag
-  else
+  let override c v acc =
+    match pick_with_conf t c with
+    | Some (conf, p) when p <> v && conf > master_confidence t c ->
+      Fragment.add c p acc
+    | Some _ | None -> acc
+  in
+  match t.mode with
+  | Off -> frag
+  | Broken ->
     Fragment.fold
-      (fun c v acc ->
-        match c with
-        | Cell.Pc -> Fragment.add c v acc
-        | _ -> (
-          match pick_with_conf t c with
-          | Some (conf, p) when p <> v && conf > master_confidence t c ->
-            Fragment.add c p acc
-          | Some _ | None -> Fragment.add c v acc))
-      frag Fragment.empty
+      (fun c v acc -> match c with Cell.Pc -> acc | _ -> override c v acc)
+      frag frag
+  | Last_value | Stride | Context | Tournament ->
+    Hashtbl.fold
+      (fun c () acc ->
+        match (c, Fragment.find_opt c frag) with
+        | Cell.Pc, _ | _, None -> acc
+        | _, Some v -> override c v acc)
+      t.demoted frag
 
 (* --- introspection (tests, tooling) ---------------------------------- *)
 

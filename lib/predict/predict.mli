@@ -61,7 +61,9 @@ val predict : t -> Mssp_state.Cell.t -> int option
 val refine : t -> Mssp_state.Fragment.t -> Mssp_state.Fragment.t
 (** Override bindings in a live-in fragment where a component is both
     confident and STRICTLY more confident than the master for that cell.
-    The cell set is preserved; [Pc] is never touched. Does not train. *)
+    The cell set is preserved; [Pc] is never touched. Does not train.
+    Built on the input: only overridden cells are re-added, and with
+    none overridden the input itself is returned (physically equal). *)
 
 val conf_threshold : int
 (** Minimum confidence at which a component may override a live-in. *)

@@ -24,6 +24,25 @@ let consistent s1 s2 =
     s1
 
 let pc f = find_opt Cell.Pc f
+
+exception Past_regs
+
+(* [Pc] and the registers sort below every memory cell, so the in-order
+   walk leaves at the first [Mem] key: O(registers + log n) *)
+let iter_pc_regs f m =
+  try
+    Cell.Map.iter
+      (fun c v -> if Cell.is_mem c then raise_notrace Past_regs else f c v)
+      m
+  with Past_regs -> ()
+
+(* [Cell.is_mem] is monotone in cell order, so both ends are one
+   descent each *)
+let mem_bounds m =
+  match (Cell.Map.find_first_opt Cell.is_mem m, Cell.Map.max_binding_opt m) with
+  | Some (Cell.Mem lo, _), Some (Cell.Mem hi, _) -> Some (lo, hi)
+  | _ -> None
+
 let equal = Cell.Map.equal Int.equal
 let compare = Cell.Map.compare Int.compare
 

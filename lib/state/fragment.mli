@@ -45,6 +45,15 @@ val consistent : t -> t -> bool
 val pc : t -> int option
 (** Value of the PC cell, if bound. *)
 
+val iter_pc_regs : (Cell.t -> int -> unit) -> t -> unit
+(** The [Pc] and register bindings, in cell order. They sort below every
+    memory cell, so the walk stops at the first memory key:
+    [O(registers + log n)] however much memory is bound. *)
+
+val mem_bounds : t -> (int * int) option
+(** [Some (lo, hi)]: the lowest and highest bound memory addresses;
+    [None] when no memory cell is bound. [O(log n)]. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

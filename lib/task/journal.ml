@@ -8,8 +8,8 @@ module Reg = Mssp_isa.Reg
    reads journal replays its first-reads in serial first-read order at
    verification time, whatever mixture of per-instruction recording and
    block-batched staging produced them, and whatever the table's
-   capacity. That decouples the observable order from [mem_size], which
-   is what lets tasks pre-size their tables from the static footprint. *)
+   capacity. That decouples the observable order from [mem_size]: any
+   sizing is bit-identical. *)
 type t = {
   mutable pc : int;
   mutable pc_set : bool;
@@ -74,8 +74,6 @@ let record_mem j a v =
 let set_mem j a v =
   if Hashtbl.mem j.mem a then Hashtbl.replace j.mem a v else record_mem j a v
 
-let mem_count j = j.mem_n
-
 (* conservative O(1) span test off the bounds above: [true] guarantees
    no memory binding lies in [lo, hi] (inclusive) — the block executor's
    is-this-code-span-journal-shadowed probe *)
@@ -135,8 +133,3 @@ let to_fragment j =
   let f = ref Fragment.empty in
   iter (fun c v -> f := Fragment.add c v !f) j;
   !f
-
-let of_fragment f =
-  let j = create ~mem_size:(1 + Fragment.cardinal f) () in
-  Fragment.iter (fun c v -> set j c v) f;
-  j

@@ -3,10 +3,10 @@
     A journal is the hot-loop counterpart of {!Mssp_state.Fragment.t}: a
     slave instruction resolves registers and the PC by direct array/flag
     access and memory by one hashtable probe, instead of paying a
-    balanced-tree lookup per cell. Tasks keep their live-in prediction,
-    recorded reads and buffered writes in journals while running, and
-    convert to fragments only at the commit boundary (or for tests and
-    diagnostics).
+    balanced-tree lookup per cell. Tasks keep the PC and register part of
+    their live-in prediction, their recorded reads and their buffered
+    writes in journals while running, and convert to fragments only at
+    the commit boundary (or for tests and diagnostics).
 
     {b Iteration order is a contract.} Memory bindings carry an
     insertion-order log alongside the hashtable, and {!iter}/{!for_all}
@@ -56,16 +56,12 @@ val record_mem : t -> int -> int -> unit
     {!set_mem} pays. The caller guarantees [find_mem j a = None] (block
     dispatch has just probed); violating that duplicates the binding. *)
 
-val mem_count : t -> int
-(** Number of bound memory cells ([O(1)]); with {!cardinal}, the sizing
-    input for pre-allocating dependent journals. *)
-
 val mem_avoids : t -> lo:int -> hi:int -> bool
 (** [mem_avoids j ~lo ~hi] is [true] when no memory binding lies in
     [\[lo, hi\]] (inclusive). [O(1)] and conservative — computed from
     the journal's running address bounds, so [false] only means "maybe
     bound inside". The block executor uses it to decide whether a code
-    span could be shadowed by a task's write buffer or live-in set. *)
+    span could be shadowed by a task's write buffer. *)
 
 (* generic cell interface *)
 
@@ -82,4 +78,3 @@ val for_all : (Mssp_state.Cell.t -> int -> bool) -> t -> bool
 (** Same order as {!iter}. *)
 
 val to_fragment : t -> Mssp_state.Fragment.t
-val of_fragment : Mssp_state.Fragment.t -> t

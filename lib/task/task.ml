@@ -37,6 +37,8 @@ type t = {
   budget : int;
   live_in : Fragment.t;
   li : Journal.t;
+  live_in_lo : int;
+  live_in_hi : int;
   reads : Journal.t;
   writes : Journal.t;
   mutable executed : int;
@@ -49,13 +51,18 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     if Fragment.mem Cell.Pc live_in then live_in
     else Fragment.add Cell.Pc start_pc live_in
   in
-  let li = Journal.of_fragment live_in in
-  (* The task's static footprint — the master's predicted read-set — is
-     the best spawn-time estimate of how many memory cells the body will
-     touch, so the reads and writes journals are pre-sized from it
-     instead of the default table size; the journals' insertion-order
-     iteration makes capacity invisible, so this only cuts rehashing. *)
-  let mem_size = 16 + (2 * Journal.mem_count li) in
+  (* The checkpoint's memory part is the master's cumulative dirty set,
+     shared by reference with every other checkpoint since the master's
+     last seed: it is probed in place, never copied. Only the PC and the
+     registers — at most 32 cells, the smallest keys — are flattened
+     into [li] for the per-instruction fast path. *)
+  let li = Journal.create ~mem_size:1 () in
+  Fragment.iter_pc_regs (Journal.set li) live_in;
+  let live_in_lo, live_in_hi =
+    match Fragment.mem_bounds live_in with
+    | Some bounds -> bounds
+    | None -> (max_int, min_int)
+  in
   {
     id;
     start_pc;
@@ -65,12 +72,25 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     budget;
     live_in;
     li;
-    reads = Journal.create ~mem_size ();
-    writes = Journal.create ~mem_size ();
+    live_in_lo;
+    live_in_hi;
+    reads = Journal.create ();
+    writes = Journal.create ();
     executed = 0;
     status = Running;
     decode = Exec.default_decode;
   }
+
+(* memory live-in probe: [c] is the caller's [Cell.Mem a], and the
+   fragment is consulted only inside its address bounds *)
+let find_live_in_mem t c a =
+  if a < t.live_in_lo || a > t.live_in_hi then None
+  else Fragment.find_opt c t.live_in
+
+let find_live_in t c =
+  match c with
+  | Cell.Pc | Cell.Reg _ -> Journal.find t.li c
+  | Cell.Mem a -> find_live_in_mem t c a
 
 let with_decode decode t = { t with decode }
 
@@ -124,27 +144,23 @@ let make_ctx ?(on_access = no_access) t view =
     | Cell.Mem a -> (
       if Layout.is_io a && !io = None then io := Some c;
       on_access c;
-      let record v =
-        if Journal.find_mem t.reads a = None then Journal.set_mem t.reads a v
-      in
       match Journal.find_mem t.writes a with
       | Some _ as r -> r
-      | None -> (
-        match Journal.find_mem t.li a with
-        | Some v as r ->
-          record v;
-          r
-        | None -> (
-          match view with
-          | Fallback arch ->
-            let v = arch c in
-            record v;
-            Some v
-          | Isolated ->
-            (* memory is total: absent cells read as 0 and that reading
-               is itself a live-in to verify *)
-            record 0;
-            Some 0)))
+      | None ->
+        let v =
+          match find_live_in_mem t c a with
+          | Some v -> v
+          | None -> (
+            match view with
+            | Fallback arch -> arch c
+            | Isolated ->
+              (* memory is total: absent cells read as 0 and that
+                 reading is itself a live-in to verify *)
+              0)
+        in
+        if Journal.find_mem t.reads a = None then
+          Journal.record_mem t.reads a v;
+        Some v)
   in
   let write c v =
     match c with
@@ -232,9 +248,9 @@ let default_block_journal =
    Sharing is what forces builds to resolve words from architected
    state only — a cached block must not embed one task's write-buffer
    or live-in values — and the executor refuses to dispatch a block
-   whose span the current task's journals might shadow ([shadowed]
-   probe below, O(1) off the journals' address bounds): such spans run
-   on the single-step rung, whose fetch consults the journal stack.
+   whose span the current task's write buffer or live-in might shadow
+   ([shadowed] probe below, O(1) off their address bounds): such spans
+   run on the single-step rung, whose fetch consults both.
    The architected words inside a block stay trustworthy because every
    store into architected state between runs is reported to the cache
    (task commits, chaos corruption) or drops it whole (recovery
@@ -315,21 +331,16 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
   in
   (* data read, address already known non-I/O *)
   let read_mem a =
-    on_access (Cell.mem a);
+    let c = Cell.mem a in
+    on_access c;
     match Journal.find_mem t.writes a with
     | Some v -> v
-    | None -> (
-      let record v =
-        if Journal.find_mem t.reads a = None then Journal.record_mem t.reads a v
+    | None ->
+      let v =
+        match find_live_in_mem t c a with Some v -> v | None -> arch c
       in
-      match Journal.find_mem t.li a with
-      | Some v ->
-        record v;
-        v
-      | None ->
-        let v = arch (Cell.mem a) in
-        record v;
-        v)
+      if Journal.find_mem t.reads a = None then Journal.record_mem t.reads a v;
+      v
   in
   (* data write, address already known non-I/O; [true] forces block exit
      (the store dropped cached blocks — this one may be stale) *)
@@ -466,8 +477,9 @@ let run_block_journal ~on_access ?engine t arch ctx =
   let gen = Spec.new_run eng in
   (* build-time fetch resolution: architected words only (no staging,
      access traffic or the I/O latch — all charged at execution time).
-     Journal-bound words must not be baked into a shareable block; the
-     [shadowed] probe keeps any span they could cover off this path. *)
+     Words bound in the write buffer or the live-in must not be baked
+     into a shareable block; the [shadowed] probe keeps any span they
+     could cover off this path. *)
   let peek a =
     if Layout.is_io a then None else Some (arch (Cell.mem a), true)
   in
@@ -475,7 +487,8 @@ let run_block_journal ~on_access ?engine t arch ctx =
     let lo = b.Spec.s_start in
     let hi = lo + Array.length b.Spec.s_instrs - 1 in
     not
-      (Journal.mem_avoids t.writes ~lo ~hi && Journal.mem_avoids t.li ~lo ~hi)
+      (Journal.mem_avoids t.writes ~lo ~hi
+      && (t.live_in_hi < lo || t.live_in_lo > hi))
   in
   let rec go () =
     match t.status with

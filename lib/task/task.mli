@@ -53,8 +53,19 @@ type t = {
           pass is the boundary (it counted its own marker passes) *)
   mutable end_seen : int;  (** arrivals at [end_pc] so far *)
   budget : int;
-  live_in : Mssp_state.Fragment.t;  (** master's prediction; binds [Pc] *)
-  li : Journal.t;  (** [live_in] flattened for the execution fast path *)
+  live_in : Mssp_state.Fragment.t;
+      (** master's prediction; binds [Pc]. Shared with the checkpoint
+          (its memory part is the master's cumulative dirty set) and
+          probed in place — never copied per task *)
+  li : Journal.t;
+      (** the [Pc] and register bindings of [live_in], flattened for the
+          execution fast path; no memory *)
+  live_in_lo : int;
+  live_in_hi : int;
+      (** lowest and highest memory address bound in [live_in]
+          ([live_in_lo > live_in_hi] when none): memory reads outside
+          them skip the fragment probe, and the block executor's
+          shadowing test reads them instead of scanning [live_in] *)
   reads : Journal.t;
       (** recorded live-ins: first-read value of every cell obtained from
           outside the write buffer *)
@@ -77,7 +88,15 @@ val make :
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
-    start position is itself a live-in and is verified like any other. *)
+    start position is itself a live-in and is verified like any other.
+    [O(registers + log |live_in|)]: only the [Pc] and register bindings
+    are copied, and [live_in] itself is kept by reference. *)
+
+val find_live_in : t -> Mssp_state.Cell.t -> int option
+(** The live-in prediction for a cell as the executors resolve it: [Pc]
+    and registers from [li], memory from [live_in] probed in place and
+    only inside [live_in_lo..live_in_hi]. Always answers what
+    [Fragment.find_opt c t.live_in] answers. *)
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree

@@ -166,6 +166,91 @@ let test_off_never_predicts () =
   check "off refine is identity" true
     (Fragment.equal (Predict.refine t frag) frag)
 
+(* --- refine on the shared checkpoint ----------------------------------- *)
+
+(* the checkpoint-rebuilding refinement, restated over the public API:
+   every cell re-added to a fresh fragment, overridden where the mode's
+   pick is STRICTLY more confident than the master *)
+let rebuild_refine t frag =
+  let pick c =
+    let with_conf name =
+      Option.map (fun v -> (Predict.confidence t c name, v)) (Predict.predict t c)
+    in
+    match Predict.mode t with
+    | Predict.Off -> None
+    | Predict.Broken -> Option.map (fun v -> (max_int, v)) (Predict.predict t c)
+    | Predict.Last_value -> with_conf "last-value"
+    | Predict.Stride -> with_conf "stride"
+    | Predict.Context -> with_conf "context"
+    | Predict.Tournament -> (
+      match Predict.chosen t c with None -> None | Some name -> with_conf name)
+  in
+  if Predict.mode t = Predict.Off then frag
+  else
+    Fragment.fold
+      (fun c v acc ->
+        match (c, pick c) with
+        | Cell.Pc, _ -> Fragment.add c v acc
+        | _, Some (conf, p) when p <> v && conf > Predict.master_confidence t c
+          ->
+          Fragment.add c p acc
+        | _, (Some _ | None) -> Fragment.add c v acc)
+      frag Fragment.empty
+
+type training =
+  | Observe of int * int
+  | Master of int * int * int  (** cell, supplied, actual *)
+
+let refine_cells =
+  [| Cell.Pc; Cell.Reg Mssp_asm.Regs.t0; Cell.Reg Mssp_asm.Regs.s1;
+     Cell.Mem 7; Cell.Mem 8; Cell.Mem 300 |]
+
+let arbitrary_refine_case =
+  let open QCheck.Gen in
+  let cell = int_bound (Array.length refine_cells - 1) in
+  (* mostly one value, so components earn confidence and a missing
+     master loses it: overrides fire in a good share of cases *)
+  let v = frequency [ (5, return 1); (1, int_bound 3) ] in
+  let step =
+    frequency
+      [
+        (3, map2 (fun c x -> Observe (c, x)) cell v);
+        (2, map3 (fun c s a -> Master (c, s, a)) cell v v);
+      ]
+  in
+  let mode =
+    oneofl
+      Predict.[ Off; Last_value; Stride; Context; Tournament; Broken ]
+  in
+  QCheck.make
+    ~print:(fun (m, steps, binds) ->
+      Printf.sprintf "%s: %d training steps, live-in {%s}"
+        (Predict.mode_to_string m) (List.length steps)
+        (String.concat "; "
+           (List.map
+              (fun (c, x) -> Printf.sprintf "%s=%d" (Cell.show refine_cells.(c)) x)
+              binds)))
+    (triple mode (list_size (int_bound 120) step)
+       (list_size (int_bound 8) (pair cell v)))
+
+let prop_refine_matches_rebuild =
+  QCheck.Test.make
+    ~name:"refine = the rebuilding refinement, and == its input when idle"
+    ~count:500 arbitrary_refine_case (fun (mode, steps, binds) ->
+      let t = Predict.create mode in
+      List.iter
+        (function
+          | Observe (c, x) -> Predict.observe t refine_cells.(c) x
+          | Master (c, supplied, actual) ->
+            Predict.observe_master t refine_cells.(c) ~supplied ~actual)
+        steps;
+      let frag =
+        Fragment.of_list (List.map (fun (c, x) -> (refine_cells.(c), x)) binds)
+      in
+      let refined = Predict.refine t frag in
+      Fragment.equal refined (rebuild_refine t frag)
+      && ((not (Fragment.equal refined frag)) || refined == frag))
+
 (* --- warm-up from the profiler's streams ------------------------------ *)
 
 let test_warmup_of_profile () =
@@ -277,6 +362,7 @@ let () =
           Alcotest.test_case "never picks lower confidence" `Quick
             test_tournament_never_picks_lower_confidence;
           Alcotest.test_case "master incumbent" `Quick test_master_incumbent;
+          Mssp_testkit.to_alcotest prop_refine_matches_rebuild;
           Mssp_testkit.to_alcotest prop_tournament_maximal;
           Mssp_testkit.to_alcotest prop_deterministic;
         ] );

@@ -602,7 +602,24 @@ let test_daemon_drain_wait_completes_queued () =
 let test_daemon_drain_cancel_answers_queued () =
   with_daemon (daemon_cfg ~workers:1 ~drain_policy:`Cancel ()) @@ fun d ->
   with_client (Daemon.socket d) @@ fun c ->
-  (* one worker, several slow-ish jobs: at drain time most are queued *)
+  (* the single worker first takes a job that runs for seconds, so it
+     is still running (or queued) when the drain arrives, and the five
+     jobs behind it are necessarily still queued then, however fast the
+     host: the drain must cancel, never outrace, the backlog *)
+  let blocker =
+    match
+      Client.submit c
+        {
+          (gen_spec ~fuel:1_000_000_000 ()) with
+          P.program =
+            P.Asm
+              ".base 4096\nli s0, 2000000\nsubi s0, s0, 1\nbgt s0, zero, -1\nhalt\n";
+          slaves = 4;
+        }
+    with
+    | Ok job -> job
+    | Error r -> Alcotest.fail (P.reject_string r)
+  in
   let jobs =
     List.init 5 (fun i ->
         match
@@ -616,6 +633,10 @@ let test_daemon_drain_cancel_answers_queued () =
         | Error r -> Alcotest.fail (P.reject_string r))
   in
   Client.drain c;
+  (match Client.await c blocker with
+  | Client.Cancelled reason, _ ->
+    check_string "the running job is drained" "drained" reason
+  | _ -> Alcotest.fail "the blocking job must be cancelled by the drain");
   let results, cancelled =
     List.fold_left
       (fun (r, k) job ->

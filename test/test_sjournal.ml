@@ -176,6 +176,39 @@ let test_smc_self_patch () =
   check "patched trip executed" true
     (Mssp_task.Journal.find t.Task.writes (Cell.Reg t2) = Some 7)
 
+(* a live-in bound inside the task's own code span: the master predicted
+   a different word there, so the block rung (whose blocks hold
+   architected words) must hand the span to single-step, whose fetch
+   resolves through the live-in. The shadowing test reads the
+   checkpoint's memory bounds — including a live-in whose bounds merely
+   straddle the span *)
+let test_live_in_shadows_code () =
+  let b = Dsl.create () in
+  Dsl.li b t0 5;
+  Dsl.alui b Instr.Add t0 t0 1;
+  Dsl.alui b Instr.Add t1 t1 1;
+  Dsl.out b t0;
+  Dsl.halt b;
+  let p = Dsl.build b () in
+  let patched = p.Program.entry + 1 in
+  let live_in =
+    Fragment.singleton (Cell.mem patched)
+      (Instr.encode (Instr.Alui (Instr.Add, t0, t0, 100)))
+  in
+  assert_same_task ~live_in p;
+  let arch = load_arch p in
+  let _, t, _ = run_task ~block_journal:true ~live_in arch p in
+  check "the live-in word executed" true
+    (Mssp_task.Journal.find t.Task.writes (Cell.Reg t0) = Some 105);
+  check "the live-in fetch is a recorded read" true
+    (Mssp_task.Journal.find t.Task.reads (Cell.mem patched)
+    = Fragment.find_opt (Cell.mem patched) live_in);
+  let straddling =
+    Fragment.of_list
+      [ (Cell.mem (p.Program.entry - 8), 1); (Cell.mem (patched + 64), 2) ]
+  in
+  assert_same_task ~live_in:straddling p
+
 (* speculative I/O: the latch semantics (instruction completes into the
    write buffer, then the task fails without retiring it) must be
    identical, including the recorded I/O cell and the access sequence *)
@@ -371,6 +404,8 @@ let () =
         [
           Alcotest.test_case "SMC self-patch invalidates" `Quick
             test_smc_self_patch;
+          Alcotest.test_case "live-in shadows code" `Quick
+            test_live_in_shadows_code;
           Alcotest.test_case "speculative I/O latch" `Quick test_io_latch;
           Alcotest.test_case "fault parity" `Quick test_fault_parity;
         ] );

@@ -186,6 +186,80 @@ let test_live_in_size_counts_reads_only () =
   check "live_in_size = recorded" true
     (Task.live_in_size task = Journal.cardinal task.Task.reads)
 
+(* --- the layered live-in view: PC and registers flattened, memory
+   probed in the shared checkpoint fragment --- *)
+
+(* a checkpoint shaped like the master's: PC, every register, and
+   [n] dirty memory words *)
+let checkpoint_with_mem n =
+  let f = ref (Fragment.singleton Cell.Pc head) in
+  List.iter
+    (fun r ->
+      match Cell.reg r with
+      | Some c -> f := Fragment.add c (Mssp_isa.Reg.to_int r) !f
+      | None -> ())
+    Mssp_isa.Reg.all;
+  for a = 0 to n - 1 do
+    f := Fragment.add (Cell.mem (0x10000 + (3 * a))) a !f
+  done;
+  !f
+
+let minor_words_of_make live_in =
+  let reps = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (make_task ~live_in ~end_pc:None ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int reps
+
+let test_make_cost_independent_of_live_in_memory () =
+  let small = checkpoint_with_mem 16 and big = checkpoint_with_mem 4096 in
+  let w_small = minor_words_of_make small and w_big = minor_words_of_make big in
+  if w_big > w_small +. 64. then
+    Alcotest.failf
+      "Task.make: %.0f minor words at 4096 memory cells, %.0f at 16" w_big
+      w_small;
+  check "the checkpoint is kept by reference" true
+    ((make_task ~live_in:big ~end_pc:None ()).Task.live_in == big)
+
+let arbitrary_checkpoint_and_probes =
+  let open QCheck.Gen in
+  let reg = map (fun i -> Cell.Reg (Mssp_isa.Reg.of_int (1 + (i mod 31)))) nat in
+  let addr = map (fun a -> 100 + (a mod 40)) nat in
+  let cell =
+    frequency
+      [ (1, return Cell.Pc); (3, reg); (6, map Cell.mem addr) ]
+  in
+  (* probes reach below, inside and above the bound memory span *)
+  let probe =
+    frequency
+      [
+        (1, return Cell.Pc);
+        (3, reg);
+        (6, map (fun a -> Cell.mem (a mod 160)) nat);
+        (1, map Cell.mem int);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (bs, ps) ->
+      Printf.sprintf "live-in {%s} probes [%s]"
+        (String.concat "; "
+           (List.map (fun (c, v) -> Format.asprintf "%a=%d" Cell.pp c v) bs))
+        (String.concat "; " (List.map Cell.show ps)))
+    (pair
+       (list_size (int_bound 24) (pair cell (int_bound 9)))
+       (list_size (int_bound 40) probe))
+
+let prop_live_in_view_matches_fragment =
+  QCheck.Test.make ~name:"layered live-in view = Fragment.find_opt" ~count:500
+    arbitrary_checkpoint_and_probes (fun (bindings, probes) ->
+      let live_in = Fragment.of_list bindings in
+      let task = make_task ~live_in ~end_pc:None () in
+      let checkpoint = task.Task.live_in in
+      let agrees c = Task.find_live_in task c = Fragment.find_opt c checkpoint in
+      List.for_all agrees probes
+      && List.for_all (fun (c, _) -> agrees c) (Fragment.to_list checkpoint))
+
 (* --- journal <-> fragment agreement: the flat buffers are a faithful
    representation of the fragments they replace --- *)
 
@@ -212,7 +286,9 @@ let prop_journal_fragment_round_trip =
     arbitrary_bindings
     (fun bindings ->
       let f = Fragment.of_list bindings in
-      Fragment.equal (Journal.to_fragment (Journal.of_fragment f)) f)
+      let j = Journal.create () in
+      Fragment.iter (Journal.set j) f;
+      Fragment.equal (Journal.to_fragment j) f)
 
 let prop_journal_set_find_matches_fragment =
   QCheck.Test.make
@@ -286,6 +362,12 @@ let () =
           Alcotest.test_case "live-in accounting" `Quick
             test_live_in_size_counts_reads_only;
           Mssp_testkit.to_alcotest prop_task_matches_abstract_evolution;
+        ] );
+      ( "live-in",
+        [
+          Alcotest.test_case "make cost independent of live-in memory" `Quick
+            test_make_cost_independent_of_live_in_memory;
+          Mssp_testkit.to_alcotest prop_live_in_view_matches_fragment;
         ] );
       ( "journal",
         [
