@@ -26,28 +26,36 @@ let make cfg =
     stats = { accesses = 0; misses = 0 };
   }
 
+(* A plain loop: no closure, no option — every simulated access of the
+   master and of every slave lands here. [/] truncates toward zero, so
+   negative addresses map to lines exactly as they always have. *)
 let access c addr =
   let line = addr / c.cfg.line_words in
   let set = line land (c.cfg.sets - 1) in
   let tag = line / c.cfg.sets in
   let tags = c.tags.(set) and lru = c.lru.(set) in
+  let ways = c.cfg.ways in
   c.tick <- c.tick + 1;
   c.stats.accesses <- c.stats.accesses + 1;
-  let rec find w = if w = c.cfg.ways then None else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-    lru.(w) <- c.tick;
+  let w = ref 0 in
+  while !w < ways && Array.unsafe_get tags !w <> tag do
+    incr w
+  done;
+  if !w < ways then begin
+    Array.unsafe_set lru !w c.tick;
     true
-  | None ->
+  end
+  else begin
     c.stats.misses <- c.stats.misses + 1;
     (* LRU victim: smallest tick (invalid ways have tick 0, chosen first) *)
     let victim = ref 0 in
-    for w = 1 to c.cfg.ways - 1 do
-      if lru.(w) < lru.(!victim) then victim := w
+    for w = 1 to ways - 1 do
+      if Array.unsafe_get lru w < Array.unsafe_get lru !victim then victim := w
     done;
-    tags.(!victim) <- tag;
-    lru.(!victim) <- c.tick;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set lru !victim c.tick;
     false
+  end
 
 let invalidate_all c =
   Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) c.tags;

@@ -1,8 +1,6 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Full = Mssp_state.Full
-module Instr = Mssp_isa.Instr
-module Reg = Mssp_isa.Reg
 module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
 module Sblock = Mssp_seq.Sblock
@@ -178,25 +176,6 @@ type checkpoint = {
           re-examine the head until it fires *)
 }
 
-type master = {
-  mutable m_state : Full.t;
-  mutable m_dirty : Fragment.t;
-      (** memory the master wrote since its last seed — cumulative, so a
-          checkpoint's live-in prediction covers everything the slave may
-          need from any older in-flight task (the hardware's speculative
-          version forwarding) *)
-  mutable m_dead : bool;
-  mutable m_waiting : bool;
-  mutable m_pending : (int * Fragment.t) option;
-  mutable m_since_cp : int;
-      (** instructions since the last checkpoint — the task-size pacing
-          counter; [Fork] markers are skipped while it is below
-          [config.task_size] *)
-  m_passes : (int, int) Hashtbl.t;
-      (** per-boundary-site marker passes since the last checkpoint;
-          tells the slave which arrival at the end PC is the boundary *)
-}
-
 let run ?(config = Mssp_config.default) (d : Distill.t) =
   let cfg = config in
   let t = cfg.timing in
@@ -253,36 +232,21 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       Predict.warm p cfg.predict_warmup;
       Some p
   in
-  let master =
-    {
-      m_state = Full.copy arch;
-      m_dirty = Fragment.empty;
-      m_dead = false;
-      m_waiting = false;
-      m_pending = None;
-      m_since_cp = cfg.task_size (* fork immediately at start *);
-      m_passes = Hashtbl.create 16;
-    }
-  in
-  Full.set_pc master.m_state d.distilled.entry;
   let entry_set = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace entry_set e ()) d.task_entries;
   let at_entry pc = Hashtbl.mem entry_set pc in
-  (* Superblock fast paths ([cfg.superblock]): recovery segments run
-     through a persistent block engine over [arch], and the master and
-     slaves decode fetched words through pre-decoded images of both
-     programs. Like the domain pool, these are pure engine choices —
-     cycles, stats, squash attribution and traces are bit-identical
-     either way (differential tests + the SBLKG bench guard). *)
-  let image_decode =
-    if cfg.superblock then
-      Some
-        (Program.image_decoder
-           [ Program.decode_all d.distilled; Program.decode_all d.original ])
-    else None
+  (* Pre-decoded images of both programs. The master always decodes
+     through them; with [cfg.superblock] the slaves do too, and recovery
+     segments run through a persistent block engine over [arch]. Like
+     the domain pool, these are pure engine choices — cycles, stats,
+     squash attribution and traces are bit-identical either way
+     (differential tests + the SBLKG bench guard). *)
+  let images_decode =
+    Program.image_decoder
+      [ Program.decode_all d.distilled; Program.decode_all d.original ]
   in
-  let master_decode =
-    match image_decode with Some dec -> dec | None -> Exec.default_decode
+  let slave_decode =
+    if cfg.superblock then images_decode else Exec.default_decode
   in
   (* Created at the first recovery segment — [arch] only becomes the
      engine's execution state then; until that point no blocks exist and
@@ -306,7 +270,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     if cfg.slave_block_journal then
       Some
         (Array.init cfg.slaves (fun _ ->
-             Sblock.Spec.create ~decode:master_decode ()))
+             Sblock.Spec.create ~decode:slave_decode ()))
     else None
   in
   let specs_live = slave_specs <> None in
@@ -464,11 +428,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
         (fun (_, s, task) ->
           let cache = slave_caches.(s) in
           let cost = ref 0 in
-          let on_access c =
-            match c with
-            | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
-            | Cell.Pc | Cell.Reg _ -> ()
-          in
+          let on_access a = cost := !cost + Hierarchy.access cache a in
           ignore
             (Task.run ~on_access ~block_journal ?engine:(spec_for s) task
                (task_view ())
@@ -481,20 +441,17 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           (fun (_, s, task) ->
             let accesses = ref (Array.make 64 0) in
             let n = ref 0 in
-            let on_access c =
-              match c with
-              | Cell.Mem a ->
-                let buf = !accesses in
-                let len = Array.length buf in
-                if !n = len then begin
-                  let bigger = Array.make (2 * len) 0 in
-                  Array.blit buf 0 bigger 0 len;
-                  accesses := bigger;
-                  bigger.(!n) <- a
-                end
-                else buf.(!n) <- a;
-                incr n
-              | Cell.Pc | Cell.Reg _ -> ()
+            let on_access a =
+              let buf = !accesses in
+              let len = Array.length buf in
+              if !n = len then begin
+                let bigger = Array.make (2 * len) 0 in
+                Array.blit buf 0 bigger 0 len;
+                accesses := bigger;
+                bigger.(!n) <- a
+              end
+              else buf.(!n) <- a;
+              incr n
             in
             let fut =
               (* distinct [s] per batch: the slave's engine is touched
@@ -561,79 +518,13 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     guarded (fun () -> if not (Sim.cancelled sim ep) then thunk ())
   in
 
-  let master_note_pass e =
-    let n =
-      match Hashtbl.find_opt master.m_passes e with Some n -> n | None -> 0
-    in
-    Hashtbl.replace master.m_passes e (n + 1);
-    n + 1
-  in
   (* --- master ------------------------------------------------------ *)
-  let master_live_in e =
-    if cfg.control_only_master then Fragment.singleton Cell.Pc e
-    else if cfg.isolated_slaves then
-      Fragment.add Cell.Pc e (Full.snapshot master.m_state)
-    else begin
-      let f = ref (Fragment.add Cell.Pc e master.m_dirty) in
-      List.iter
-        (fun r ->
-          match Cell.reg r with
-          | Some c -> f := Fragment.add c (Full.get master.m_state c) !f
-          | None -> ())
-        Reg.all;
-      !f
-    end
+  let master =
+    Master.create ~config:cfg ~cache:master_cache ~decode:images_decode d arch
   in
-  (* The master's executor callbacks, hoisted out of the instruction
-     loop: they read the current [m_state] through the mutable [master]
-     record, so one pair of closures serves the whole run (including
-     across post-squash reseeds), and the per-instruction cycle cost
-     accumulates in [master_cost]. *)
-  let master_cost = ref 0 in
-  let master_read c =
-    (match c with
-    | Cell.Mem a -> master_cost := !master_cost + Hierarchy.access master_cache a
-    | Cell.Pc | Cell.Reg _ -> ());
-    Some (Full.get master.m_state c)
-  in
-  let master_write c v =
-    (match c with
-    | Cell.Mem a ->
-      master_cost := !master_cost + Hierarchy.access master_cache a;
-      master.m_dirty <- Fragment.add c v master.m_dirty
-    | Cell.Pc | Cell.Reg _ -> ());
-    Full.set master.m_state c v
-  in
-  (* One functional master instruction; returns its cost, a fork, or
-     death (halt/fault/trap). The master-side PC map redirects jumps that
-     landed in original code (indirect returns) back into distilled
-     code. *)
-  let master_step () =
-    let pc0 = Full.pc master.m_state in
-    let pc =
-      match Hashtbl.find_opt d.pc_map pc0 with
-      | Some dpc ->
-        Full.set_pc master.m_state dpc;
-        dpc
-      | None -> pc0
-    in
-    let word = Full.get_mem master.m_state pc in
-    match master_decode ~pc ~word with
-    | None -> `Dead
-    | Some Instr.Halt -> `Dead
-    | Some (Instr.Fork e) -> `Fork e
-    | Some _ -> (
-      master_cost := t.master_base;
-      match
-        Exec.step_with ~decode:master_decode ~read:master_read
-          ~write:master_write
-      with
-      | Exec.Stepped ->
-        stats.master_instructions <- stats.master_instructions + 1;
-        `Cost !master_cost
-      | Exec.Halted | Exec.Fault _ -> `Dead
-      | Exec.Missing _ -> assert false)
-  in
+  let master_dead = ref false in
+  let master_waiting = ref false in
+  let master_pending = ref None in
   (* Spawn-path delivery faults: [Checkpoint_delay] adds latency to the
      checkpoint transfer; [Checkpoint_drop] models message loss — the
      master re-sends with exponential backoff up to [spawn_retries]
@@ -668,49 +559,24 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   in
   (* Forward declarations: the component processes call each other. *)
   let rec master_run () =
-    if master.m_dead || master.m_waiting then ()
+    if !master_dead || !master_waiting then ()
     else begin
-      let rec go budget cost_acc =
-        if budget = 0 then begin
-          (* run-away master: no checkpoint for a whole chunk *)
-          master.m_dead <- true;
-          if tracing then
-            temit
-              (Trace.Master_stop
-                 { cycle = Sim.now sim; pc = Full.pc master.m_state });
-          Sim.schedule sim ~delay:cost_acc (epoch_guarded on_master_dead)
-        end
-        else
-          match master_step () with
-          | `Cost c ->
-            master.m_since_cp <- master.m_since_cp + 1;
-            go (budget - 1) (cost_acc + c)
-          | `Fork e when master.m_since_cp < cfg.task_size ->
-            (* marker skipped: pacing says the task would be too small.
-               Markers are free for the master (a real implementation
-               keeps fork sites in a table, not the pipeline). *)
-            ignore (master_note_pass e : int);
-            Full.set_pc master.m_state (Full.pc master.m_state + 1);
-            go budget cost_acc
-          | `Fork e ->
-            (* step past the fork and snapshot the prediction now; the
-               spawn takes effect once the accumulated cycles elapse *)
-            let occurrence = master_note_pass e in
-            Hashtbl.reset master.m_passes;
-            Full.set_pc master.m_state (Full.pc master.m_state + 1);
-            master.m_since_cp <- 0;
-            let li = master_live_in e in
-            Sim.schedule sim ~delay:(cost_acc + t.master_base)
-              (epoch_guarded (fun () -> handle_fork e li occurrence))
-          | `Dead ->
-            master.m_dead <- true;
-            if tracing then
-              temit
-                (Trace.Master_stop
-                   { cycle = Sim.now sim; pc = Full.pc master.m_state });
-            Sim.schedule sim ~delay:cost_acc (epoch_guarded on_master_dead)
-      in
-      go cfg.master_chunk 0
+      let stop = Master.run master in
+      stats.master_instructions <- Master.retired master;
+      match stop with
+      | Master.Forked { entry; occurrence; live_in; cost } ->
+        (* the master stepped past the fork and snapshot the prediction
+           now; the spawn takes effect once the accumulated cycles
+           elapse *)
+        Sim.schedule sim ~delay:(cost + t.master_base)
+          (epoch_guarded (fun () -> handle_fork entry live_in occurrence))
+      | Master.Stopped cost ->
+        master_dead := true;
+        if tracing then
+          temit
+            (Trace.Master_stop
+               { cycle = Sim.now sim; pc = Full.pc (Master.state master) });
+        Sim.schedule sim ~delay:cost (epoch_guarded on_master_dead)
     end
   and handle_fork e li occurrence =
     (* The fork's identity settles where the PREVIOUS task ends — even if
@@ -726,8 +592,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     | Some _ | None -> ());
     ignore (occurrence : int);
     if Queue.length window >= cfg.max_in_flight then begin
-      master.m_waiting <- true;
-      master.m_pending <- Some (e, li)
+      master_waiting := true;
+      master_pending := Some (e, li)
     end
     else if spawn e li then master_run ()
   and spawn e li =
@@ -804,9 +670,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
                 ~live_in:cp.cp_live_in
             in
             let task =
-              match image_decode with
-              | Some dec -> Task.with_decode dec task
-              | None -> task
+              if cfg.superblock then Task.with_decode slave_decode task
+              else task
             in
             cp.cp_task <- Some task;
             rev_batch := (cp, s, task) :: !rev_batch)
@@ -906,7 +771,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     if !commit_busy then ()
     else
       match Queue.peek_opt window with
-      | None -> if master.m_dead then start_squash Master_dead else ()
+      | None -> if !master_dead then start_squash Master_dead else ()
       | Some cp ->
       if (not cp.cp_finished) || cp.cp_deferred then ()
       else if transient_verify_fault cp then ()
@@ -1060,14 +925,14 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
         true
       | None -> false)
   and wake_master () =
-    if master.m_waiting then begin
-      master.m_waiting <- false;
-      match master.m_pending with
+    if !master_waiting then begin
+      master_waiting := false;
+      match !master_pending with
       | Some (e, li) ->
-        master.m_pending <- None;
+        master_pending := None;
         if Queue.length window >= cfg.max_in_flight then begin
-          master.m_waiting <- true;
-          master.m_pending <- Some (e, li)
+          master_waiting := true;
+          master_pending := Some (e, li)
         end
         else if spawn e li then master_run ()
       | None -> master_run ()
@@ -1128,9 +993,9 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     Array.fill slave_free 0 cfg.slaves true;
     Hierarchy.invalidate_l1 master_cache;
     Array.iter Hierarchy.invalidate_l1 slave_caches;
-    master.m_dead <- false;
-    master.m_waiting <- false;
-    master.m_pending <- None;
+    master_dead := false;
+    master_waiting := false;
+    master_pending := None;
     commit_busy := false;
     (* Non-speculative execution on architected state: at least one
        instruction, then up to the next task entry (or the program's
@@ -1210,11 +1075,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
         Sim.schedule sim ~delay:recovery_cycles
           (epoch_guarded (fun () -> start_recovery ()))
       | Some dpc ->
-        master.m_state <- Full.copy arch;
-        master.m_dirty <- Fragment.empty;
-        master.m_since_cp <- cfg.task_size;
-        Hashtbl.reset master.m_passes;
-        Full.set_pc master.m_state dpc;
+        Master.reseed master arch ~pc:dpc;
         if tracing then
           temit (Trace.Restart { cycle = Sim.now sim; pc = dpc });
         Sim.schedule sim
@@ -1254,8 +1115,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
             ll_busy_slaves = busy;
             ll_quarantined = quar;
             ll_master =
-              (if master.m_dead then "dead"
-               else if master.m_waiting then "waiting"
+              (if !master_dead then "dead"
+               else if !master_waiting then "waiting"
                else "running");
             ll_head_task =
               (match Queue.peek_opt window with

@@ -22,18 +22,20 @@ let symbol p name = List.assoc name p.symbols
 (* Pre-decoded image: the per-program decode cache. Both arrays are
    indexed by [pc - base]; [words] holds the encodings the loader wrote
    into memory, so a fetched word can be validated against the image
-   with one compare before the pre-decoded instruction is reused. *)
+   with one compare before the pre-decoded instruction is reused. The
+   instructions are stored already boxed in [Some], so a validated
+   decode allocates nothing. *)
 type image = {
   i_base : int;
   i_words : int array;
-  i_instrs : Instr.t array;
+  i_decoded : Instr.t option array;
 }
 
 let decode_all p =
   {
     i_base = p.base;
     i_words = Array.map Instr.encode p.code;
-    i_instrs = Array.copy p.code;
+    i_decoded = Array.map Option.some p.code;
   }
 
 let image_base img = img.i_base
@@ -42,26 +44,25 @@ let image_limit img = img.i_base + Array.length img.i_words
 let image_decode img ~pc ~word =
   let i = pc - img.i_base in
   if i >= 0 && i < Array.length img.i_words && Array.unsafe_get img.i_words i = word
-  then Some (Array.unsafe_get img.i_instrs i)
+  then Array.unsafe_get img.i_decoded i
   else Instr.decode_cached word
 
+(* top-level, so a decode over several images builds no closure *)
+let rec images_decode imgs ~pc ~word =
+  match imgs with
+  | [] -> Instr.decode_cached word
+  | img :: rest ->
+    let i = pc - img.i_base in
+    if
+      i >= 0
+      && i < Array.length img.i_words
+      && Array.unsafe_get img.i_words i = word
+    then Array.unsafe_get img.i_decoded i
+    else images_decode rest ~pc ~word
+
 let image_decoder = function
-  | [] -> fun ~pc:_ ~word -> Instr.decode_cached word
   | [ img ] -> fun ~pc ~word -> image_decode img ~pc ~word
-  | imgs ->
-    fun ~pc ~word ->
-      let rec probe = function
-        | [] -> Instr.decode_cached word
-        | img :: rest ->
-          let i = pc - img.i_base in
-          if
-            i >= 0
-            && i < Array.length img.i_words
-            && Array.unsafe_get img.i_words i = word
-          then Some (Array.unsafe_get img.i_instrs i)
-          else probe rest
-      in
-      probe imgs
+  | imgs -> fun ~pc ~word -> images_decode imgs ~pc ~word
 
 let pp fmt p =
   let label_of = Hashtbl.create 16 in

@@ -53,7 +53,9 @@ val symbol : t -> string -> int
 type image = {
   i_base : int;  (** address of [i_words.(0)] *)
   i_words : int array;  (** encodings the loader wrote into memory *)
-  i_instrs : Instr.t array;  (** [decode i_words.(i)], pre-computed *)
+  i_decoded : Instr.t option array;
+      (** [decode i_words.(i)], pre-computed and pre-boxed: a validated
+          decode allocates nothing *)
 }
 
 val decode_all : t -> image
@@ -72,8 +74,9 @@ val image_decode : image -> pc:int -> word:int -> Instr.t option
 val image_decoder :
   image list -> pc:int -> word:int -> Instr.t option
 (** Compose images (e.g. original + distilled, both loaded in memory)
-    into one decode function; falls back to {!Instr.decode_cached}
-    outside every image. *)
+    into one decode function, probed in list order; falls back to
+    {!Instr.decode_cached} outside every image. A decode allocates
+    nothing beyond what {!Instr.decode_cached} does on a mismatch. *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing with addresses and symbols. *)

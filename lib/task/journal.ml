@@ -17,19 +17,27 @@ type t = {
   mutable reg_mask : int; (* bit [Reg.to_int r] set iff the register is bound *)
   mem : (int, int) Hashtbl.t;
   mutable mem_order : int array; (* addresses, in first-binding order *)
+  mutable mem_first : int array; (* values at first binding, parallel *)
+  mutable rebound : bool; (* a binding was replaced: [mem_first] may be stale *)
   mutable mem_n : int;
   mutable mem_lo : int; (* bounds of every address ever bound; *)
   mutable mem_hi : int; (* lo > hi when no memory is bound *)
 }
 
+(* the log starts at a quarter of the table's size and doubles on demand:
+   most tasks bind a few dozen cells, and a journal is allocated per
+   task, so an oversized log is promoted garbage on every spawn *)
 let create ?(mem_size = 64) () =
+  let log_size = max 8 (mem_size / 4) in
   {
     pc = 0;
     pc_set = false;
     regs = Array.make Reg.count 0;
     reg_mask = 0;
     mem = Hashtbl.create mem_size;
-    mem_order = Array.make (max 8 mem_size) 0;
+    mem_order = Array.make log_size 0;
+    mem_first = Array.make log_size 0;
+    rebound = false;
     mem_n = 0;
     mem_lo = max_int;
     mem_hi = min_int;
@@ -52,27 +60,33 @@ let set_reg j i v =
 
 let find_mem j a = Hashtbl.find_opt j.mem a
 
-let log_mem j a =
+let grow buf n =
+  let bigger = Array.make (2 * n) 0 in
+  Array.blit buf 0 bigger 0 n;
+  bigger
+
+let log_mem j a v =
   if a < j.mem_lo then j.mem_lo <- a;
   if a > j.mem_hi then j.mem_hi <- a;
   let n = j.mem_n in
-  let buf = j.mem_order in
-  let len = Array.length buf in
-  if n = len then begin
-    let bigger = Array.make (2 * len) 0 in
-    Array.blit buf 0 bigger 0 len;
-    bigger.(n) <- a;
-    j.mem_order <- bigger
-  end
-  else Array.unsafe_set buf n a;
+  if n = Array.length j.mem_order then begin
+    j.mem_order <- grow j.mem_order n;
+    j.mem_first <- grow j.mem_first n
+  end;
+  Array.unsafe_set j.mem_order n a;
+  Array.unsafe_set j.mem_first n v;
   j.mem_n <- n + 1
 
 let record_mem j a v =
-  log_mem j a;
+  log_mem j a v;
   Hashtbl.add j.mem a v
 
 let set_mem j a v =
-  if Hashtbl.mem j.mem a then Hashtbl.replace j.mem a v else record_mem j a v
+  if Hashtbl.mem j.mem a then begin
+    Hashtbl.replace j.mem a v;
+    j.rebound <- true
+  end
+  else record_mem j a v
 
 (* conservative O(1) span test off the bounds above: [true] guarantees
    no memory binding lies in [lo, hi] (inclusive) — the block executor's
@@ -128,6 +142,20 @@ let for_all p j =
         end
       done;
       !ok)
+
+(* a journal that never rebinds (every reads journal: first-reads only)
+   answers from the flat log, without re-hashing a single address *)
+let for_all_mem p j =
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < j.mem_n do
+    let a = Array.unsafe_get j.mem_order !k in
+    let v =
+      if j.rebound then mem_value j a else Array.unsafe_get j.mem_first !k
+    in
+    if not (p a v) then ok := false;
+    incr k
+  done;
+  !ok
 
 let to_fragment j =
   let f = ref Fragment.empty in

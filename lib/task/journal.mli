@@ -77,4 +77,10 @@ val iter : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 val for_all : (Mssp_state.Cell.t -> int -> bool) -> t -> bool
 (** Same order as {!iter}. *)
 
+val for_all_mem : (int -> int -> bool) -> t -> bool
+(** [for_all_mem p j]: [p a v] holds for every memory binding, walked in
+    first-binding order — the memory part of {!for_all}, with no cell
+    boxed. A journal whose bindings were never replaced (any reads
+    journal) answers straight off its flat log, with no table probe. *)
+
 val to_fragment : t -> Mssp_state.Fragment.t

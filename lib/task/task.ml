@@ -96,7 +96,7 @@ let with_decode decode t = { t with decode }
 
 type view = Isolated | Fallback of (Cell.t -> int)
 
-let no_access (_ : Cell.t) = ()
+let no_access (_ : int) = ()
 
 (* The executor callbacks for one task run, built once (not once per
    instruction): reads resolve write buffer -> live-in -> view with flat
@@ -143,7 +143,7 @@ let make_ctx ?(on_access = no_access) t view =
         | Isolated -> None)
     | Cell.Mem a -> (
       if Layout.is_io a && !io = None then io := Some c;
-      on_access c;
+      on_access a;
       match Journal.find_mem t.writes a with
       | Some _ as r -> r
       | None ->
@@ -168,7 +168,7 @@ let make_ctx ?(on_access = no_access) t view =
     | Cell.Pc -> Journal.set_pc t.writes v
     | Cell.Mem a ->
       if Layout.is_io a && !io = None then io := Some c;
-      on_access c;
+      on_access a;
       Journal.set_mem t.writes a v
   in
   { c_read = read; c_write = write; c_io = io }
@@ -300,7 +300,7 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
      write buffer at build time (stores since then would have dropped
      the block, so the provenance cannot be stale) *)
   let fetch_at i pc =
-    on_access (Cell.mem pc);
+    on_access pc;
     if i >= b.Spec.s_covered then begin
       if
         Array.unsafe_get lives i
@@ -331,11 +331,11 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
   in
   (* data read, address already known non-I/O *)
   let read_mem a =
-    let c = Cell.mem a in
-    on_access c;
+    on_access a;
     match Journal.find_mem t.writes a with
     | Some v -> v
     | None ->
+      let c = Cell.mem a in
       let v =
         match find_live_in_mem t c a with Some v -> v | None -> arch c
       in
@@ -345,7 +345,7 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
   (* data write, address already known non-I/O; [true] forces block exit
      (the store dropped cached blocks — this one may be stale) *)
   let write_mem a v =
-    on_access (Cell.mem a);
+    on_access a;
     Journal.set_mem t.writes a v;
     Spec.note_store eng a
   in
@@ -407,7 +407,7 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
       fetch_at !i pc;
       let v = read_reg rs2 in
       if Layout.is_io a then begin
-        on_access (Cell.mem a);
+        on_access a;
         Journal.set_mem t.writes a v;
         io_fail (Cell.mem a) pc
       end
@@ -441,9 +441,9 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
       let count = read_mem Layout.out_count_addr in
       let slot = Layout.out_base + count in
       if Layout.is_io slot then begin
-        on_access (Cell.mem slot);
+        on_access slot;
         Journal.set_mem t.writes slot v;
-        on_access (Cell.mem Layout.out_count_addr);
+        on_access Layout.out_count_addr;
         Journal.set_mem t.writes Layout.out_count_addr (count + 1);
         io_fail (Cell.mem slot) pc
       end
@@ -530,9 +530,19 @@ let reads_fragment t = Journal.to_fragment t.reads
 let writes_fragment t = Journal.to_fragment t.writes
 
 (* the verification unit's memoization check: every recorded live-in
-   still agrees with architected state *)
+   still agrees with architected state. Walks the reads journal's own
+   layout — PC flag, register mask, memory log — so no cell is boxed
+   and no memory live-in is re-hashed *)
 let live_ins_consistent t arch =
-  Journal.for_all (fun c v -> Full.get arch c = v) t.reads
+  let r = t.reads in
+  let ok = ref ((not (Journal.has_pc r)) || Journal.pc_value r = Full.pc arch) in
+  let i = ref 0 in
+  while !ok && !i < Reg.count do
+    if Journal.has_reg r !i && Journal.reg r !i <> Full.get_reg arch (Reg.of_int !i)
+    then ok := false;
+    incr i
+  done;
+  !ok && Journal.for_all_mem (fun a v -> Full.get_mem arch a = v) r
 
 (* the trace layer's witness: which recorded live-in disagrees, and on
    what values — [Some _] iff [live_ins_consistent] is [false] *)

@@ -121,14 +121,15 @@ type view =
       (** read through to architected state (the MICRO'02 machine); the
           obtained value is recorded and verified at commit *)
 
-val step : ?on_access:(Mssp_state.Cell.t -> unit) -> t -> view -> status
+val step : ?on_access:(int -> unit) -> t -> view -> status
 (** Execute one instruction. No-op unless [Running]. [on_access] is
-    invoked for every memory cell touched (fetch, loads, stores) — the
-    hook the timing model's caches observe. Single-stepping rebuilds the
-    executor callbacks each call; {!run} hoists them out of the loop. *)
+    invoked with the address of every memory word touched (fetch, loads,
+    stores) — the hook the timing model's caches observe.
+    Single-stepping rebuilds the executor callbacks each call; {!run}
+    hoists them out of the loop. *)
 
 val run :
-  ?on_access:(Mssp_state.Cell.t -> unit) ->
+  ?on_access:(int -> unit) ->
   ?block_journal:bool ->
   ?engine:Mssp_seq.Sblock.Spec.t ->
   t ->

@@ -87,6 +87,70 @@ let prop_fitting_working_set =
       done;
       !ok)
 
+(* a plain reference LRU: each set is a list of [ways] (tag, last use)
+   pairs, an invalid way holding tag -1 and last use 0. An access hits
+   the first way whose tag matches; a miss replaces the first way with
+   the smallest last use. Lines and tags use [/], so negative addresses
+   truncate toward zero. *)
+let reference_lru (cfg : Cache.config) addrs =
+  let sets = Array.make cfg.Cache.sets (List.init cfg.Cache.ways (fun _ -> (-1, 0))) in
+  let tick = ref 0 in
+  List.map
+    (fun a ->
+      incr tick;
+      let line = a / cfg.Cache.line_words in
+      let set = line land (cfg.Cache.sets - 1) and tag = line / cfg.Cache.sets in
+      let ways = sets.(set) in
+      let rec find i = function
+        | [] -> None
+        | (t, _) :: rest -> if t = tag then Some i else find (i + 1) rest
+      in
+      let touch i = List.mapi (fun j (t, u) -> if j = i then (tag, !tick) else (t, u)) in
+      match find 0 ways with
+      | Some i ->
+        sets.(set) <- touch i ways;
+        true
+      | None ->
+        let _, victim, _ =
+          List.fold_left
+            (fun (j, best, best_u) (_, u) ->
+              if u < best_u then (j + 1, j, u) else (j + 1, best, best_u))
+            (0, 0, max_int) ways
+        in
+        sets.(set) <- touch victim ways;
+        false)
+    addrs
+
+let prop_matches_reference_lru =
+  let pow2 = QCheck.Gen.(map (fun k -> 1 lsl k) (int_bound 3)) in
+  let gen =
+    QCheck.Gen.(
+      quad pow2 (int_range 1 4) pow2
+        (list_size (int_range 1 300)
+           (frequency
+              [
+                (4, int_range (-40) 40);
+                (2, int_range (-2000) 2000);
+                (1, int);
+              ])))
+  in
+  QCheck.Test.make ~name:"access = reference LRU, negative addresses included"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, w, l, a) ->
+         Printf.sprintf "sets %d ways %d line %d: %s" s w l
+           (String.concat " " (List.map string_of_int a)))
+       gen)
+    (fun (sets, ways, line_words, addrs) ->
+      let cfg = Cache.config ~sets ~ways ~line_words () in
+      let c = Cache.make cfg in
+      let hits = List.map (Cache.access c) addrs in
+      let expected = reference_lru cfg addrs in
+      let st = Cache.stats c in
+      hits = expected
+      && st.Cache.accesses = List.length addrs
+      && st.Cache.misses = List.length (List.filter not expected))
+
 let () =
   Alcotest.run "cache"
     [
@@ -98,6 +162,7 @@ let () =
           Alcotest.test_case "associativity" `Quick test_associativity_conflicts;
           Alcotest.test_case "stats/invalidate" `Quick test_stats_and_invalidate;
           Mssp_testkit.to_alcotest prop_fitting_working_set;
+          Mssp_testkit.to_alcotest prop_matches_reference_lru;
         ] );
       ( "hierarchy",
         [

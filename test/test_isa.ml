@@ -143,6 +143,45 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"decode (encode i) = i" ~count:2000 arbitrary_instr
     (fun i -> Instr.decode (Instr.encode i) = Some i)
 
+(* a decoder over several pre-decoded images agrees with [Instr.decode]
+   everywhere: inside each image on its own word, inside an image on a
+   word that differs from it (self-modified code), and outside every
+   image *)
+let prop_image_decoder =
+  let arb =
+    QCheck.(
+      triple
+        (array_of_size Gen.(int_range 1 20) arbitrary_instr)
+        (array_of_size Gen.(int_range 1 20) arbitrary_instr)
+        (pair small_nat (make Gen.int)))
+  in
+  QCheck.Test.make ~name:"image_decoder over several images = Instr.decode"
+    ~count:500 arb (fun (c1, c2, (k, junk)) ->
+      let p1 = Program.make ~base:Layout.code_base c1 in
+      let p2 = Program.make ~base:Layout.distilled_base c2 in
+      let dec =
+        Program.image_decoder [ Program.decode_all p1; Program.decode_all p2 ]
+      in
+      let agrees ~pc ~word = dec ~pc ~word = Instr.decode word in
+      let image_ok (p : Program.t) =
+        let ok = ref true in
+        Array.iteri
+          (fun i instr ->
+            let pc = p.Program.base + i and word = Instr.encode instr in
+            if
+              not
+                (agrees ~pc ~word
+                && agrees ~pc ~word:(word lxor (1 lsl (k mod 62)))
+                && agrees ~pc ~word:junk)
+            then ok := false)
+          p.Program.code;
+        !ok
+      in
+      image_ok p1 && image_ok p2
+      && agrees ~pc:(Program.limit p1) ~word:(Instr.encode c2.(0))
+      && agrees ~pc:(Layout.code_base - 1) ~word:junk
+      && agrees ~pc:(-k) ~word:(Instr.encode c1.(0)))
+
 (* --- operand metadata --- *)
 
 let test_writes_reg () =
@@ -191,6 +230,7 @@ let () =
           Alcotest.test_case "rejects large imm" `Quick test_encode_rejects_large_imm;
           Alcotest.test_case "decode total" `Quick test_decode_total;
           Mssp_testkit.to_alcotest prop_roundtrip;
+          Mssp_testkit.to_alcotest prop_image_decoder;
         ] );
       ( "metadata",
         [

@@ -49,7 +49,7 @@ let run_task ~block_journal ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
   let acc = ref [] in
   let status =
     Task.run
-      ~on_access:(fun c -> acc := c :: !acc)
+      ~on_access:(fun a -> acc := a :: !acc)
       ~block_journal t
       (Task.Fallback (fun c -> Full.get arch c))
   in

@@ -169,10 +169,10 @@ let test_on_access_hook () =
   let live_in = Fragment.of_list [ (t0_cell, 1); (t1_cell, 0) ] in
   let task = make_task ~live_in ~end_pc:None () in
   let touched = ref [] in
-  let on_access c = touched := c :: !touched in
+  let on_access a = touched := a :: !touched in
   ignore (Task.run ~on_access task (fallback arch) : Task.status);
   (* every instruction fetch is a memory access *)
-  check "fetches observed" true (List.mem (Cell.mem head) !touched)
+  check "fetches observed" true (List.mem head !touched)
 
 let test_live_in_size_counts_reads_only () =
   let arch = arch_of simple_loop in
@@ -307,7 +307,39 @@ let prop_journal_set_find_matches_fragment =
       && List.for_all
            (fun (c, v) -> Journal.find j c = Some v)
            (Fragment.to_list f)
-      && Journal.for_all (fun c v -> Fragment.find_opt c f = Some v) j)
+      && Journal.for_all (fun c v -> Fragment.find_opt c f = Some v) j
+      && Journal.for_all_mem
+           (fun a v -> Fragment.find_opt (Cell.mem a) f = Some v)
+           j)
+
+(* the verification check walks the reads journal's own layout; it must
+   answer exactly what a cell-by-cell walk answers, and agree with the
+   mismatch witness, whichever recorded live-in architected state
+   contradicts *)
+let prop_live_ins_consistent_matches_cell_walk =
+  QCheck.Test.make ~name:"live_ins_consistent = cell walk = no witness"
+    ~count:200
+    QCheck.(triple small_nat (int_range 1 200) small_nat)
+    (fun (seed, budget, pick) ->
+      let p = Mssp_fuzz.Gen.generate ~seed ~size:6 () in
+      let arch = arch_of p in
+      let task =
+        Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+          ~end_occurrence:1 ~budget ~live_in:Fragment.empty
+      in
+      ignore (Task.run task (fallback arch) : Task.status);
+      let agrees () =
+        let walk = Journal.for_all (fun c v -> Full.get arch c = v) task.Task.reads in
+        Task.live_ins_consistent task arch = walk
+        && (Task.first_inconsistent task arch = None) = walk
+      in
+      let reads = Fragment.to_list (Task.reads_fragment task) in
+      agrees ()
+      && (reads = []
+         ||
+         let c, v = List.nth reads (pick mod List.length reads) in
+         Full.set arch c (v + 1);
+         agrees () && not (Task.live_ins_consistent task arch)))
 
 (* --- cross-validation: the simulator task against the formal task
    tuples — both must compute seq on the live-ins --- *)
@@ -373,5 +405,6 @@ let () =
         [
           Mssp_testkit.to_alcotest prop_journal_fragment_round_trip;
           Mssp_testkit.to_alcotest prop_journal_set_find_matches_fragment;
+          Mssp_testkit.to_alcotest prop_live_ins_consistent_matches_cell_walk;
         ] );
     ]
