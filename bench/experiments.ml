@@ -624,7 +624,12 @@ let e14 () =
   let cfg_of rate =
     {
       (with_slaves 4) with
-      Config.fault_injection = (if rate > 0.0 then Some (42, rate) else None);
+      Config.faults =
+        (if rate > 0.0 then
+           Some
+             (Mssp_faults.Plan.quiet Mssp_faults.Plan.Live_in_corrupt ~seed:42
+                ~p:rate)
+         else None);
     }
   in
   let runs = checked_runs (List.map (fun rate -> (p, cfg_of rate)) rates) in
@@ -1179,78 +1184,76 @@ let poolg () =
     note "host has %d core(s) < %d: ratio reported, budget not enforced"
       cores pool_jobs
 
+(* --- engine parity: the semantic legs SBLKG and SJRNLG share ----------
+
+   The engine is invisible: a full MSSP run (vecsum, 4 slaves) must
+   produce bit-identical simulated cycles on the fast engine and on the
+   single-step reference ([~reference:true]), and so must the same run
+   under a fault plan that forces squashes. Every squash runs sequential
+   recovery through the superblock engine and re-verifies a staged
+   first-read stream, whose order (content *and* order of the
+   insertion-order log) is what keeps squash attribution and cycle
+   counts pinned. Returns the plain run's cycles. *)
+let engine_parity guard p =
+  let module Plan = Mssp_faults.Plan in
+  let same leg label config =
+    let cycles reference =
+      let r = run ~reference ~config p in
+      assert_correct p r;
+      (r.M.stats.M.cycles, r.M.stats.M.squashes)
+    in
+    let fast, squashes = cycles false in
+    let slow, _ = cycles true in
+    if fast <> slow then
+      failwith
+        (Printf.sprintf
+           "%s: the engine changed %s (%d cycles fast, %d reference)" guard
+           leg fast slow);
+    note "%s cycles bit-identical fast/reference: %d" label fast;
+    (fast, squashes)
+  in
+  let cfg = with_slaves 4 in
+  let on, _ = same "the simulation" "MSSP" cfg in
+  let stormy =
+    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
+  in
+  let _, squashes =
+    same "a squash-heavy run" "squash-heavy"
+      { cfg with Config.faults = Some stormy }
+  in
+  if squashes = 0 then
+    failwith (guard ^ ": the squash-heavy leg produced no squashes");
+  on
+
 (* --- SBLKG: superblock-engine guard ------------------------------------ *)
 
 (* The pre-decoded block engine's two contracts, enforced under `make
    perf-smoke`:
 
-   semantics — the engine is invisible: a full MSSP run (4 slaves) must
-   produce bit-identical simulated cycles with blocks on and off, and so
-   must the same run under a fault plan that forces squashes (so the
-   recovery path, which runs *through* the engine, is exercised, not
-   just the master's fetch).
+   semantics — {!engine_parity}.
 
    performance — the engine pays for itself: the straight-line SEQ
-   micro (the workload blocks exist for) must be no slower with the
-   engine on; min-of-9 interleaved reps with a major collection before
-   each, as in TRACEG. The measured pair lands in the --json report as
-   [sblk_guard]; the headline >= 5x instrs/sec ratio is reported by the
-   micro section. *)
+   micro (the workload blocks exist for) must be no slower on the
+   engine than on the reference loop; min-of-9 interleaved reps with a
+   major collection before each, as in TRACEG. The measured pair lands
+   in the --json report as [sblk_guard]; the headline >= 5x instrs/sec
+   ratio is reported by the micro section. *)
 let sblkg () =
   section "SBLKG  Superblock guard: pre-decoded blocks vs single-step";
-  let module Plan = Mssp_faults.Plan in
-  let p = prepare (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let cycles config =
-    let r = run ~config p in
-    assert_correct p r;
-    r.M.stats.M.cycles
-  in
-  let on = cycles { cfg with Config.superblock = true } in
-  let off = cycles { cfg with Config.superblock = false } in
-  if on <> off then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblocks changed the simulation (%d cycles on, %d off)" on
-         off);
-  note "MSSP cycles bit-identical on/off: %d" on;
-  (* squash-heavy leg: corrupted live-ins force verification failures,
-     so sequential recovery — which executes through the engine — runs
-     on every squash *)
-  let stormy =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
-  in
-  let stormy_cycles sblk =
-    let config =
-      { cfg with Config.superblock = sblk; Config.faults = Some stormy }
-    in
-    let r = run ~config p in
-    assert_correct p r;
-    if r.M.stats.M.squashes = 0 then
-      failwith "SBLKG: the squash-heavy leg produced no squashes";
-    r.M.stats.M.cycles
-  in
-  let s_on = stormy_cycles true in
-  let s_off = stormy_cycles false in
-  if s_on <> s_off then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblocks changed a squash-heavy run (%d cycles on, %d off)"
-         s_on s_off);
-  note "squash-heavy cycles bit-identical on/off: %d" s_on;
+  let on = engine_parity "SBLKG" (prepare (W.find "vecsum")) in
   let best_on = ref infinity and best_off = ref infinity in
-  ignore (Micro.run_straightline ~superblock:true () : float);
-  ignore (Micro.run_straightline ~superblock:false () : float);
+  ignore (Micro.run_straightline ~reference:false () : float);
+  ignore (Micro.run_straightline ~reference:true () : float);
   for _ = 1 to 9 do
     Gc.major ();
-    let t = Micro.run_straightline ~superblock:true () in
+    let t = Micro.run_straightline ~reference:false () in
     if t < !best_on then best_on := t;
-    let t = Micro.run_straightline ~superblock:false () in
+    let t = Micro.run_straightline ~reference:true () in
     if t < !best_off then best_off := t
   done;
   let speedup = !best_off /. !best_on in
   note
-    "straight-line micro (%d instrs): on %.4fs   off %.4fs   speedup %.2fx"
+    "straight-line micro (%d instrs): engine %.4fs   reference %.4fs   speedup %.2fx"
     Micro.straightline_instrs !best_on !best_off speedup;
   Harness.sblk_guard :=
     Some
@@ -1264,7 +1267,7 @@ let sblkg () =
   if !best_on > !best_off *. 1.05 then
     failwith
       (Printf.sprintf
-         "SBLKG: superblock-on wall clock %.4fs is slower than single-step %.4fs"
+         "SBLKG: superblock wall clock %.4fs is slower than single-step %.4fs"
          !best_on !best_off)
 
 (* --- SJRNLG: slave block-journal guard --------------------------------- *)
@@ -1272,18 +1275,12 @@ let sblkg () =
 (* The block-aware slave journal's two contracts, enforced under `make
    perf-smoke`:
 
-   semantics — the engine choice is invisible: a full MSSP run (4
-   slaves) must produce bit-identical simulated cycles with the slave
-   block journal on and off, and so must the same run under a fault
-   plan that forces squashes — every squash re-verifies a staged
-   first-read stream, so verification-order identity (content *and*
-   order of the insertion-order log) is what keeps squash attribution
-   and cycle counts pinned.
+   semantics — {!engine_parity}.
 
    performance — the journal pays for itself where blocks exist: the
    slave-body micro (the straight-line task body, run as a speculative
    task against a fallback view) must be at least 2x single-step
-   throughput with the block journal on. A 2x floor needs a clock that
+   throughput on the block journal. A 2x floor needs a clock that
    can resolve itself: as in TRACEG, the baseline is timed twice
    (interleaved), and when the two minima disagree by more than 10% —
    or the host has a single core — the ratio is reported without being
@@ -1293,61 +1290,21 @@ let sblkg () =
    instrs/sec rows. *)
 let sjrnlg () =
   section "SJRNLG  Slave block-journal guard: block journaling vs single-step";
-  let module Plan = Mssp_faults.Plan in
   let p = prepare (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let cycles bj =
-    let r = run ~config:{ cfg with Config.slave_block_journal = bj } p in
-    assert_correct p r;
-    r.M.stats.M.cycles
-  in
-  let on = cycles true in
-  let off = cycles false in
-  if on <> off then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: the slave block journal changed the simulation (%d cycles \
-          on, %d off)"
-         on off);
-  note "MSSP cycles bit-identical on/off: %d" on;
-  (* squash-heavy leg: corrupted live-ins force verification failures,
-     so the staged first-read stream is replayed — and must mismatch at
-     the same cell — on every squash *)
-  let stormy =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
-  in
-  let stormy_cycles bj =
-    let config =
-      { cfg with Config.slave_block_journal = bj; Config.faults = Some stormy }
-    in
-    let r = run ~config p in
-    assert_correct p r;
-    if r.M.stats.M.squashes = 0 then
-      failwith "SJRNLG: the squash-heavy leg produced no squashes";
-    r.M.stats.M.cycles
-  in
-  let s_on = stormy_cycles true in
-  let s_off = stormy_cycles false in
-  if s_on <> s_off then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: the slave block journal changed a squash-heavy run (%d \
-          cycles on, %d off)"
-         s_on s_off);
-  note "squash-heavy cycles bit-identical on/off: %d" s_on;
+  let on = engine_parity "SJRNLG" p in
   let best_on = ref infinity in
   let best_off = ref infinity and best_off2 = ref infinity in
-  ignore (Micro.run_slave_body ~block_journal:true () : float);
-  ignore (Micro.run_slave_body ~block_journal:false () : float);
+  ignore (Micro.run_slave_body ~reference:false () : float);
+  ignore (Micro.run_slave_body ~reference:true () : float);
   for _ = 1 to 9 do
     Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:false () in
+    let t = Micro.run_slave_body ~reference:true () in
     if t < !best_off then best_off := t;
     Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:true () in
+    let t = Micro.run_slave_body ~reference:false () in
     if t < !best_on then best_on := t;
     Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:false () in
+    let t = Micro.run_slave_body ~reference:true () in
     if t < !best_off2 then best_off2 := t
   done;
   let noise =
@@ -1356,7 +1313,7 @@ let sjrnlg () =
   let best_off = Float.min !best_off !best_off2 in
   let speedup = best_off /. !best_on in
   note
-    "slave-body micro (%d instrs): on %.4fs   off %.4fs   speedup %.2fx  \
+    "slave-body micro (%d instrs): journal %.4fs   reference %.4fs   speedup %.2fx  \
      (floor 2x, clock noise %.1f%%)"
     Micro.slave_body_instrs !best_on best_off speedup (noise *. 100.);
   let cores = Domain.recommended_domain_count () in
@@ -1367,33 +1324,32 @@ let sjrnlg () =
      as wall clock, not just in the body micro. Same double-timed
      baseline noise gate; the floor is 1.3x. *)
   let cfg8 = with_slaves 8 in
-  let timed_run bj =
-    let config = { cfg8 with Config.slave_block_journal = bj } in
+  let timed_run reference =
     Gc.major ();
     let t0 = Unix.gettimeofday () in
-    let r = run ~config p in
+    let r = run ~reference ~config:cfg8 p in
     let dt = Unix.gettimeofday () -. t0 in
     assert_correct p r;
     dt
   in
-  ignore (timed_run true : float);
   ignore (timed_run false : float);
+  ignore (timed_run true : float);
   let m_on = ref infinity in
   let m_off = ref infinity and m_off2 = ref infinity in
   for _ = 1 to 5 do
-    let t = timed_run false in
-    if t < !m_off then m_off := t;
     let t = timed_run true in
-    if t < !m_on then m_on := t;
+    if t < !m_off then m_off := t;
     let t = timed_run false in
+    if t < !m_on then m_on := t;
+    let t = timed_run true in
     if t < !m_off2 then m_off2 := t
   done;
   let m_noise = Float.abs (!m_off -. !m_off2) /. Float.min !m_off !m_off2 in
   let m_off = Float.min !m_off !m_off2 in
   let m_speedup = m_off /. !m_on in
   note
-    "whole machine (vecsum, 8 slaves): on %.4fs   off %.4fs   speedup %.2fx  \
-     (floor 1.3x, clock noise %.1f%%)"
+    "whole machine (vecsum, 8 slaves): fast %.4fs   reference %.4fs   \
+     speedup %.2fx  (floor 1.3x, clock noise %.1f%%)"
     !m_on m_off m_speedup (m_noise *. 100.);
   let m_enforced = cores >= 2 && m_noise <= 0.10 in
   Harness.sjrnl_guard :=
@@ -1429,8 +1385,8 @@ let sjrnlg () =
   else if m_speedup < 1.3 then
     failwith
       (Printf.sprintf
-         "SJRNLG: whole-machine wall clock is only %.2fx single-step slaves \
-          at 8 slaves (floor 1.3x)"
+         "SJRNLG: whole-machine wall clock is only %.2fx the single-step \
+          reference at 8 slaves (floor 1.3x)"
          m_speedup)
 
 (* --- SVCG: service-layer-overhead guard -------------------------------- *)

@@ -31,8 +31,8 @@ let prepare ?options ?passes ?(scale = 1.0) (bench : W.benchmark) =
   in
   { bench; program; distilled; baseline }
 
-let run ?(config = Config.default) prepared =
-  M.run ~config prepared.distilled
+let run ?reference ?(config = Config.default) prepared =
+  M.run ?reference ~config prepared.distilled
 
 let speedup prepared (r : M.result) =
   B.speedup ~baseline:prepared.baseline r.M.stats.M.cycles
@@ -130,10 +130,10 @@ let fault_guard : fault_guard option ref = ref None
 
 (* SBLKG's measurements, picked up by the bench --json writer *)
 type sblk_guard = {
-  sg_cycles : int;  (** MSSP vecsum cycles — bit-identical in both modes *)
+  sg_cycles : int;  (** MSSP vecsum cycles — bit-identical on both engines *)
   sg_instrs : int;  (** straight-line micro retired instructions *)
-  sg_on_s : float;  (** straight-line micro wall clock, engine on *)
-  sg_off_s : float;  (** engine off (single-step reference) *)
+  sg_on_s : float;  (** straight-line micro wall clock, superblock engine *)
+  sg_off_s : float;  (** single-step reference *)
 }
 
 let sblk_guard : sblk_guard option ref = ref None
@@ -141,15 +141,15 @@ let sblk_guard : sblk_guard option ref = ref None
 (* SJRNLG's measurements, picked up by the bench --json writer *)
 type sjrnl_guard = {
   jg_cycles : int;
-      (** MSSP vecsum cycles — bit-identical with block journal on/off *)
+      (** MSSP vecsum cycles — bit-identical on both engines *)
   jg_instrs : int;  (** slave-body micro retired instructions *)
-  jg_on_s : float;  (** slave-body micro wall clock, block journal on *)
+  jg_on_s : float;  (** slave-body micro wall clock, block journal *)
   jg_off_s : float;  (** single-step slave reference *)
   jg_noise : float;  (** double-timed baseline self-disagreement *)
   jg_enforced : bool;  (** the 2x floor was a hard failure condition *)
   jg_mach_on_s : float;
-      (** whole-machine wall clock (vecsum, 8 slaves), block journal on *)
-  jg_mach_off_s : float;  (** same machine run, single-step slaves *)
+      (** whole-machine wall clock (vecsum, 8 slaves), fast engine *)
+  jg_mach_off_s : float;  (** same machine run, [~reference:true] *)
   jg_mach_noise : float;  (** double-timed machine baseline disagreement *)
   jg_mach_enforced : bool;  (** the 1.3x floor was a hard failure condition *)
 }

@@ -137,7 +137,7 @@ let () =
         ]
     in
     (* likewise the slave-body pair: the same straight-line workload run
-       as a speculative task, block journal on vs single-step *)
+       as a speculative task, block journal vs single-step *)
     let micro =
       micro
       @

@@ -216,8 +216,8 @@ let test_run_trace_ring =
    is one long straight-line region (64 ALU ops per trip), so nearly
    every dynamic instruction executes from inside a cached block. The
    [instructions_per_sec] pair below is the headline number the SBLKG
-   guard and BENCH_mssp.json report; block-off runs the same program
-   through the single-step reference loop. *)
+   guard and BENCH_mssp.json report; [~reference:true] runs the same
+   program through the single-step reference loop. *)
 
 let straightline_trips = 2048
 
@@ -237,10 +237,10 @@ let straightline_program =
 let straightline_instrs = 1 + (straightline_trips * 66)
 
 (* one timed run; returns wall seconds, checks the run was the run *)
-let run_straightline ~superblock () =
-  let m = Machine.of_program ~superblock straightline_program in
+let run_straightline ~reference () =
+  let m = Machine.of_program straightline_program in
   let t0 = Unix.gettimeofday () in
-  (match Machine.run m with
+  (match if reference then Machine.run_reference m else Machine.run m with
   | Machine.Halted -> ()
   | _ -> failwith "straight-line micro did not halt");
   let dt = Unix.gettimeofday () -. t0 in
@@ -257,9 +257,10 @@ let throughput : throughput option ref = ref None
 
    The same straight-line workload, but run the way a slave runs it: as
    a speculative task against a fallback view of architected state, all
-   reads resolving through the journal stack. Block-journal on executes
-   from a per-task-run superblock cache with first-reads staged into
-   the insertion-order log; off is the single-step reference executor.
+   reads resolving through the journal stack. [Task.run] executes from a
+   per-task-run superblock cache with first-reads staged into the
+   insertion-order log; [~reference:true] is the single-step reference
+   executor.
    The [instructions_per_sec] pair is the headline number the SJRNLG
    guard and BENCH_mssp.json report. *)
 
@@ -274,14 +275,17 @@ let slave_entry = straightline_program.Mssp_isa.Program.entry
 let slave_view = Task.Fallback (fun c -> Full.get slave_arch c)
 
 (* one timed run; returns wall seconds, checks the run was the run *)
-let run_slave_body ~block_journal () =
+let run_slave_body ~reference () =
   let t =
     Task.make ~id:0 ~start_pc:slave_entry ~end_pc:None ~end_occurrence:1
       ~budget:(slave_body_instrs + 8)
       ~live_in:(Fragment.of_list [])
   in
   let t0 = Unix.gettimeofday () in
-  let status = Task.run ~block_journal t slave_view in
+  let status =
+    if reference then Task.run_reference t slave_view
+    else Task.run t slave_view
+  in
   let dt = Unix.gettimeofday () -. t0 in
   (match status with
   | Task.Complete Task.Program_halted -> ()
@@ -297,13 +301,13 @@ let slave_throughput : slave_throughput option ref = ref None
 
 let measure_slave_throughput () =
   let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_slave_body ~block_journal:true () : float);
-  ignore (run_slave_body ~block_journal:false () : float);
+  ignore (run_slave_body ~reference:false () : float);
+  ignore (run_slave_body ~reference:true () : float);
   for _ = 1 to 9 do
     Gc.major ();
-    let t = run_slave_body ~block_journal:true () in
+    let t = run_slave_body ~reference:false () in
     if t < !best_on then best_on := t;
-    let t = run_slave_body ~block_journal:false () in
+    let t = run_slave_body ~reference:true () in
     if t < !best_off then best_off := t
   done;
   let ips t = float_of_int slave_body_instrs /. t in
@@ -318,13 +322,13 @@ let measure_slave_throughput () =
 
 let measure_throughput () =
   let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_straightline ~superblock:true () : float);
-  ignore (run_straightline ~superblock:false () : float);
+  ignore (run_straightline ~reference:false () : float);
+  ignore (run_straightline ~reference:true () : float);
   for _ = 1 to 9 do
     Gc.major ();
-    let t = run_straightline ~superblock:true () in
+    let t = run_straightline ~reference:false () in
     if t < !best_on then best_on := t;
-    let t = run_straightline ~superblock:false () in
+    let t = run_straightline ~reference:true () in
     if t < !best_off then best_off := t
   done;
   let ips t = float_of_int straightline_instrs /. t in

@@ -63,29 +63,6 @@ type t = {
       (** consecutive squashes without an intervening commit that trip
           the fallback *)
   dual_burst : int;  (** sequential instructions per fallback burst *)
-  fault_injection : (int * float) option;
-      (** [(seed, p)]: corrupt one live-in binding of a checkpoint with
-          probability [p] — soft-error injection into the speculative
-          domain. Verification must absorb every such fault; only
-          squash rates may move.
-
-          Documented alias: the machine compiles this knob to a
-          one-action [Live_in_corrupt] fault plan
-          ({!Mssp_faults.Plan.of_legacy}) whose PRNG stream and
-          corruption pattern are bit-identical to the historical
-          implementation — existing tests, corpus replays and golden
-          traces are unaffected. New code should prefer {!faults}. *)
-  chaos_commit : (int * float) option;
-      (** [(seed, p)]: {e deliberately corrupt} one committed memory
-          live-out in architected state with probability [p] per commit
-          — a broken verify/commit unit on purpose. Unlike
-          [fault_injection] (which the machine must absorb), this breaks
-          the machine itself; it exists solely so the differential
-          fuzzer's mutation smoke test can prove the oracle detects and
-          shrinks a real commit-rule bug. Never set it outside tests.
-
-          Like [fault_injection], internally a one-action
-          ([Commit_corrupt]) fault plan with a bit-identical stream. *)
   faults : Mssp_faults.Plan.t option;
       (** the fault-plan subsystem ({!Mssp_faults.Plan}): a seeded
           schedule of typed fault actions against the speculative
@@ -94,9 +71,10 @@ type t = {
           watchdog, transient verify errors, memory bit-flips).
           [None] (the default) compiles every injection site down to
           one predictable branch — zero cost, bit-identical behavior
-          (guarded by FAULTG in perf-smoke). Legacy [fault_injection] /
-          [chaos_commit] knobs are appended to this plan as quiet
-          alias actions. *)
+          (guarded by FAULTG in perf-smoke). The fuzz grid's live-in
+          corruption points and the chaos-commit mutation tests use
+          one-action {!Mssp_faults.Plan.quiet} plans, which fire
+          without [Fault] events. *)
   liveness_window : int option;
       (** machine-level bounded-progress watchdog: [Some n] checks
           every [n] cycles that the run made progress (a commit, squash
@@ -164,30 +142,10 @@ type t = {
           (absent ⇒ serial). Pool size {e never} changes simulated
           cycles, stats, squash attribution or traces — runs are
           bit-identical at every size (enforced by tests and the CI
-          pool leg). *)
-  superblock : bool;
-      (** pre-decoded superblock fast paths ([true] by default, or the
-          [MSSP_SBLK] environment variable's verdict,
-          {!Mssp_seq.Sblock.default_enabled}): recovery segments run
-          through the block engine and the master and slaves decode
-          fetched words via pre-decoded program images. Like [pool],
-          this {e never} changes simulated cycles, stats, squash
-          attribution or traces — runs are bit-identical either way
-          (enforced by tests and the SBLKG bench guard). *)
-  slave_block_journal : bool;
-      (** block-aware slave journaling ([true] by default, or the
-          [MSSP_SJRNL] environment variable's verdict,
-          {!Mssp_task.Task.default_block_journal}): slave task bodies
-          execute from per-task caches of pre-decoded superblocks, with
-          first-reads staged into the journal's insertion-order log and
-          replayed in serial first-read order at verification. Another
-          pure engine choice: cycles, stats, squash attribution and
-          traces are bit-identical either way, at every pool size
-          (enforced by the sjournal differential suite, the golden
-          traces and the SJRNLG bench guard). Independent of
-          [superblock] — that one additionally accelerates decode via
-          program images, which the slave block builder reuses through
-          the task's decoder. *)
+          pool leg). The only host-engine knob: which executor runs
+          slave bodies and recovery segments is not configurable (the
+          single-step reference is reached only through
+          [Mssp_machine.run ~reference:true]). *)
   master_chunk : int;
       (** run-away guard: a master producing no fork for this many
           instructions is stopped (execution continues correctly via

@@ -176,7 +176,7 @@ type checkpoint = {
           re-examine the head until it fires *)
 }
 
-let run ?(config = Mssp_config.default) (d : Distill.t) =
+let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
   let cfg = config in
   let t = cfg.timing in
   let sim = Sim.create () in
@@ -236,17 +236,14 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   List.iter (fun e -> Hashtbl.replace entry_set e ()) d.task_entries;
   let at_entry pc = Hashtbl.mem entry_set pc in
   (* Pre-decoded images of both programs. The master always decodes
-     through them; with [cfg.superblock] the slaves do too, and recovery
-     segments run through a persistent block engine over [arch]. Like
-     the domain pool, these are pure engine choices — cycles, stats,
-     squash attribution and traces are bit-identical either way
+     through them and so do the slaves, and recovery segments run
+     through a persistent block engine over [arch]. [reference] swaps
+     the slaves and recovery back to the single-step executor: cycles,
+     stats, squash attribution and traces are bit-identical either way
      (differential tests + the SBLKG bench guard). *)
   let images_decode =
     Program.image_decoder
       [ Program.decode_all d.distilled; Program.decode_all d.original ]
-  in
-  let slave_decode =
-    if cfg.superblock then images_decode else Exec.default_decode
   in
   (* Created at the first recovery segment — [arch] only becomes the
      engine's execution state then; until that point no blocks exist and
@@ -254,24 +251,23 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   let recovery_engine =
     lazy (Sblock.create ~images:[ d.original; d.distilled ] ())
   in
-  let engine_live () = cfg.superblock && Lazy.is_val recovery_engine in
-  (* Block-aware slave journaling ([cfg.slave_block_journal]): task
-     bodies execute from per-SLAVE superblock caches with first-reads
-     staged in serial first-read order. The caches persist across a
-     slave's task runs — tasks are far too short to amortize block
-     building per run — and per-slave ownership is what keeps the
-     pooled path race-free: a batch assigns distinct slaves, so no
-     engine is ever touched by two worker domains at once, and all
-     invalidation below runs on the event-loop domain between batches.
-     Like [pool] and [superblock], the switch is a pure engine choice:
-     bit-identical cycles, stats and traces either way (the sjournal
+  let engine_live () = Lazy.is_val recovery_engine in
+  (* Block-aware slave journaling: task bodies execute from per-SLAVE
+     superblock caches with first-reads staged in serial first-read
+     order. The caches persist across a slave's task runs — tasks are
+     far too short to amortize block building per run — and per-slave
+     ownership is what keeps the pooled path race-free: a batch assigns
+     distinct slaves, so no engine is ever touched by two worker domains
+     at once, and all invalidation below runs on the event-loop domain
+     between batches. [reference] runs the bodies on the
+     per-instruction interpreter instead, bit-identically (the sjournal
      differential suite and the SJRNLG bench guard). *)
   let slave_specs =
-    if cfg.slave_block_journal then
+    if reference then None
+    else
       Some
         (Array.init cfg.slaves (fun _ ->
-             Sblock.Spec.create ~decode:slave_decode ()))
-    else None
+             Sblock.Spec.create ~decode:images_decode ()))
   in
   let specs_live = slave_specs <> None in
   (* Every store into [arch] performed outside the engines (task
@@ -300,21 +296,10 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     | Some tr -> (true, Trace.emit tr)
   in
   (* The fault subsystem. A [Mssp_faults.Plan.t] is compiled into one
-     injector whose per-surface PRNG streams drive every fault site; the
-     legacy [fault_injection] / [chaos_commit] pairs become quiet alias
-     actions with bit-identical streams ([Plan.of_legacy]). [inj = None]
-     (no plan, no legacy knobs) makes every site below a single
-     predictable branch — zero cost, guarded by FAULTG in perf-smoke. *)
-  let inj =
-    let legacy =
-      Fplan.of_legacy ~fault_injection:cfg.fault_injection
-        ~chaos_commit:cfg.chaos_commit
-    in
-    match (legacy, cfg.faults) with
-    | None, None -> None
-    | Some p, None | None, Some p -> Some (Inject.make p)
-    | Some l, Some p -> Some (Inject.make (Fplan.merge l p))
-  in
+     injector whose per-surface PRNG streams drive every fault site.
+     [inj = None] (no plan) makes every site below a single predictable
+     branch — zero cost, guarded by FAULTG in perf-smoke. *)
+  let inj = Option.map Inject.make cfg.faults in
   let policy =
     match inj with Some i -> Inject.policy i | None -> Fplan.default_policy
   in
@@ -407,9 +392,13 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     if cfg.isolated_slaves then Task.Isolated
     else Task.Fallback (fun c -> Full.get arch c)
   in
-  let block_journal = cfg.slave_block_journal in
-  let spec_for s =
-    match slave_specs with None -> None | Some specs -> Some specs.(s)
+  let run_task ~on_access s task =
+    let status =
+      match slave_specs with
+      | None -> Task.run_reference ~on_access task (task_view ())
+      | Some specs -> Task.run ~on_access ~engine:specs.(s) task (task_view ())
+    in
+    ignore (status : Task.status)
   in
   (* Execute one batch of startable tasks (all from a single
      [try_start_tasks] event); returns each task's cache cost, in batch
@@ -429,10 +418,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           let cache = slave_caches.(s) in
           let cost = ref 0 in
           let on_access a = cost := !cost + Hierarchy.access cache a in
-          ignore
-            (Task.run ~on_access ~block_journal ?engine:(spec_for s) task
-               (task_view ())
-              : Task.status);
+          run_task ~on_access s task;
           !cost)
         batch
     | Some pool ->
@@ -457,11 +443,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
               (* distinct [s] per batch: the slave's engine is touched
                  by exactly one worker at a time, and the pool's
                  submit/await edges publish inter-batch invalidations *)
-              Pool.submit pool (fun () ->
-                  ignore
-                    (Task.run ~on_access ~block_journal
-                       ?engine:(spec_for s) task (task_view ())
-                      : Task.status))
+              Pool.submit pool (fun () -> run_task ~on_access s task)
             in
             (accesses, n, fut))
           batch
@@ -670,8 +652,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
                 ~live_in:cp.cp_live_in
             in
             let task =
-              if cfg.superblock then Task.with_decode slave_decode task
-              else task
+              if reference then task
+              else Task.with_decode images_decode task
             in
             cp.cp_task <- Some task;
             rev_batch := (cp, s, task) :: !rev_batch)
@@ -1025,14 +1007,16 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
        across segments (commits/chaos report their stores into it), so
        later segments re-dispatch warm blocks. The single-step path is
        the reference this must stay bit-identical to. *)
-    let m =
-      if cfg.superblock then
-        Seq_machine.of_state ~superblock:true
-          ~engine:(Lazy.force recovery_engine) arch
-      else Seq_machine.of_state ~superblock:false arch
-    in
-    let outcome =
-      Seq_machine.run_until m ~fuel:cfg.recovery_fuel ~min_steps ~at:at_entry
+    let fuel = cfg.recovery_fuel in
+    let m, outcome =
+      if reference then
+        let m = Seq_machine.of_state arch in
+        (m, Seq_machine.run_until_reference m ~fuel ~min_steps ~at:at_entry)
+      else
+        let m =
+          Seq_machine.of_state ~engine:(Lazy.force recovery_engine) arch
+        in
+        (m, Seq_machine.run_until m ~fuel ~min_steps ~at:at_entry)
     in
     (* the segment stored straight into [arch] with no per-store report:
        drop the slave block caches whole rather than track its writes *)

@@ -131,7 +131,10 @@ val pp_livelock : Format.formatter -> livelock_snapshot -> unit
 (** One-line rendering of the diagnostic snapshot. *)
 
 val run :
-  ?config:Mssp_config.t -> Mssp_distill.Distill.t -> result
+  ?reference:bool ->
+  ?config:Mssp_config.t ->
+  Mssp_distill.Distill.t ->
+  result
 (** Simulate the distilled package's original program under MSSP until
     the program halts (or a safety limit trips). Architected state starts
     as the freshly loaded program image.
@@ -143,7 +146,16 @@ val run :
     [Commit] or [Squash] per head task, [Recovery]/[Restart] per squash,
     end-of-run [Counter] samples (cache, memory image, sim kernel), and
     exactly one final [Halt]. With [tracer = None] the simulation is
-    bit-identical and pays one branch per would-be event. *)
+    bit-identical and pays one branch per would-be event.
+
+    [reference] (default [false]) runs slave task bodies on
+    {!Mssp_task.Task.run_reference} and recovery segments on
+    {!Mssp_seq.Machine.run_until_reference} — the single-step executor
+    the production engines (block-journaled slaves, the superblock
+    recovery engine) are held to. Results, stats, cycles and event
+    streams are bit-identical either way; it exists for differential
+    tests and the SBLKG/SJRNLG bench guards, and no config field, CLI
+    flag or environment variable sets it. *)
 
 val total_committed : result -> int
 (** Instructions retired into architected state: committed-task

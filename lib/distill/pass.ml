@@ -855,7 +855,7 @@ let finish_layout =
 (* Deliberately broken passes — mutation-testing material ONLY.
    Each violates a checked invariant; none may ever appear in a default
    pipeline. They exist to prove the pass-checker has teeth, exactly as
-   [Mssp_config.chaos_commit] proves it for the machine's commit unit —
+   a [Commit_corrupt] fault plan proves it for the machine's commit unit —
    and, run anyway, to demonstrate absorbability: the machine still
    produces the sequential state under any of them. *)
 (* =================================================================== *)

@@ -8,11 +8,10 @@
     action in the list already fired. Same plan, same opportunity
     sequence, same decisions.
 
-    The [Live_in_corrupt] and [Commit_corrupt] streams reproduce the
-    legacy [fault_injection] / [chaos_commit] PRNGs bit for bit (same
-    seed-mixing constant, same 48-bit LCG, same threshold), which is
-    what lets those config knobs become one-action plans without moving
-    a single golden trace. *)
+    The [Live_in_corrupt] and [Commit_corrupt] streams are pinned by the
+    golden [chaos_commit] trace and the fuzz grid's fault-injection
+    point: their seed-mixing constants, the 48-bit LCG and the
+    threshold must not change. *)
 
 type t
 

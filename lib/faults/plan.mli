@@ -31,8 +31,7 @@
 type surface =
   | Live_in_corrupt
       (** corrupt one predicted live-in binding of a fresh checkpoint
-          (whole-word xor) — generalizes the legacy
-          [Mssp_config.fault_injection] knob *)
+          (whole-word xor) *)
   | Mem_bit_flip
       (** flip one bit of one predicted {e memory} live-in binding: a
           soft error in the speculative domain's storage *)
@@ -57,8 +56,8 @@ type surface =
           the real outcome is reported *)
   | Commit_corrupt
       (** NOT absorbable: corrupt one committed memory live-out after a
-          verified commit (the legacy [Mssp_config.chaos_commit] class
-          of machine bug). Only for mutation smoke tests. *)
+          verified commit: a deliberately broken commit unit. Only for
+          mutation smoke tests. *)
 
 val all_surfaces : surface list
 (** Every surface, [Commit_corrupt] included, in declaration order. *)
@@ -82,8 +81,8 @@ type action = private {
           ignored elsewhere. 0 picks a surface default. *)
   quiet : bool;
       (** suppress the [Fault] trace event when this action fires —
-          only for the legacy-alias actions, whose event streams
-          predate the fault subsystem and are pinned by golden traces *)
+          only for {!quiet} plans, whose event streams predate the
+          fault subsystem and are pinned by golden traces *)
 }
 
 val action :
@@ -114,19 +113,12 @@ type t = { actions : action list; policy : policy }
 
 val make : ?policy:policy -> action list -> t
 
-val of_legacy :
-  fault_injection:(int * float) option ->
-  chaos_commit:(int * float) option ->
-  t option
-(** The degenerate plans the legacy config knobs compile to. The
-    resulting actions reproduce the original knobs' PRNG streams and
-    corruption patterns byte for byte and are [quiet], so runs driven
-    through the plan path are bit-identical to the pre-plan machine —
-    events, stats and cycles. [None] when both knobs are [None]. *)
-
-val merge : t -> t -> t
-(** [merge a b] concatenates the action lists ([a]'s first) and keeps
-    [b]'s policy. *)
+val quiet : surface -> seed:int -> p:float -> t
+(** A one-action plan under {!default_policy} whose action is [quiet]:
+    it fires exactly like [action surface ~seed ~p] but emits no [Fault]
+    event. The fuzz grid's live-in corruption points and the
+    chaos-commit mutation tests use it; their event streams predate the
+    fault subsystem and are pinned by golden traces. *)
 
 val absorbable : t -> bool
 (** No [Commit_corrupt] action, and any [Slave_stall] action implies

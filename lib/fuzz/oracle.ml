@@ -7,6 +7,7 @@ module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
 module Adversary = Mssp_workload.Adversary
+module Plan = Mssp_faults.Plan
 
 type failure = { point : string; reason : string }
 
@@ -26,7 +27,12 @@ type distiller =
           passes (in this order) with the pass-checker on: checker
           violations are oracle failures *)
 
-type point = { name : string; distiller : distiller; config : Config.t }
+type point = {
+  name : string;
+  distiller : distiller;
+  config : Config.t;
+  reference : bool;
+}
 
 let pp_failure fmt f = Format.fprintf fmt "[%s] %s" f.point f.reason
 
@@ -53,50 +59,47 @@ let aggressive_options =
     min_store_count = 2;
   }
 
+let point ?(reference = false) ?(distiller = Honest) ?(config = base_config)
+    name =
+  { name; distiller; config; reference }
+
+(* soft errors in a quarter of the checkpoints: squashes and recovery
+   segments on most programs *)
+let live_in_faults =
+  {
+    base_config with
+    Config.faults =
+      Some (Plan.quiet Plan.Live_in_corrupt ~seed:99 ~p:0.25);
+  }
+
 let default_grid () =
   let t = base_config.Config.timing in
   [
-    { name = "honest"; distiller = Honest; config = base_config };
-    {
-      name = "honest-1-slave-tiny-tasks";
-      distiller = Honest;
-      config =
+    point "honest";
+    point "honest-1-slave-tiny-tasks"
+      ~config:
         { base_config with Config.slaves = 1; max_in_flight = 2; task_size = 5 };
-    };
-    {
-      name = "honest-8-slaves-slow-spawn";
-      distiller = Honest;
-      config =
+    point "honest-8-slaves-slow-spawn"
+      ~config:
         {
           (Config.with_slaves 8 base_config) with
           Config.task_budget = 300;
           timing =
             { t with Config.spawn_latency = 60; restart_latency = 120 };
         };
-    };
-    {
-      name = "honest-fault-injection";
-      distiller = Honest;
-      config = { base_config with Config.fault_injection = Some (99, 0.25) };
-    };
-    {
-      name = "honest-isolated";
-      distiller = Honest;
-      config = { base_config with Config.isolated_slaves = true };
-    };
-    {
-      name = "honest-control-only";
-      distiller = Honest;
-      config = { base_config with Config.control_only_master = true };
-    };
-    { name = "aggressive"; distiller = Aggressive; config = base_config };
-    { name = "identity"; distiller = Identity; config = base_config };
-    { name = "adversaries"; distiller = Adversaries; config = base_config };
-    {
-      name = "amnesiac-dual-mode";
-      distiller = Amnesiac;
-      config = { base_config with Config.dual_mode = true };
-    };
+    point "honest-fault-injection" ~config:live_in_faults;
+    (* the single-step slave and recovery executor, under the same
+       faults: checked against SEQ and against the fast engine *)
+    point "reference" ~reference:true ~config:live_in_faults;
+    point "honest-isolated"
+      ~config:{ base_config with Config.isolated_slaves = true };
+    point "honest-control-only"
+      ~config:{ base_config with Config.control_only_master = true };
+    point "aggressive" ~distiller:Aggressive;
+    point "identity" ~distiller:Identity;
+    point "adversaries" ~distiller:Adversaries;
+    point "amnesiac-dual-mode" ~distiller:Amnesiac
+      ~config:{ base_config with Config.dual_mode = true };
   ]
 
 (* --- the pass-subset axis ------------------------------------------ *)
@@ -141,10 +144,8 @@ let random_subset ~seed =
    alone, and a seed-derived random subset/order — all with the
    pass-checker on, all still required to land on the SEQ state. *)
 let distill_grid ~seed () =
-  let subset name names =
-    { name = "passes/" ^ name; distiller = Subset names; config = base_config }
-  in
-  ({ name = "honest"; distiller = Honest; config = base_config }
+  let subset name names = point ("passes/" ^ name) ~distiller:(Subset names) in
+  (point "honest"
   :: subset "none" []
   :: List.map (fun n -> subset n [ n ]) switchable_passes)
   @ [ subset "random" (random_subset ~seed) ]
@@ -157,37 +158,30 @@ let distill_grid ~seed () =
    on the SEQ state — only the squash rate may move. *)
 let predict_grid ~seed () =
   let pt name mode cfg =
-    {
-      name = "predict/" ^ name;
-      distiller = Honest;
-      config =
-        { cfg with Config.predict = mode; predict_seed = seed land 0x3FFFFFFF };
-    }
+    point ("predict/" ^ name)
+      ~config:
+        { cfg with Config.predict = mode; predict_seed = seed land 0x3FFFFFFF }
   in
-  ({ name = "honest"; distiller = Honest; config = base_config }
+  (point "honest"
   :: List.map
        (fun m -> pt (Mssp_predict.Predict.mode_to_string m) m base_config)
        Mssp_predict.Predict.modes)
   @ [
-      pt "tournament-faults" Mssp_predict.Predict.Tournament
-        { base_config with Config.fault_injection = Some (99, 0.25) };
+      pt "tournament-faults" Mssp_predict.Predict.Tournament live_in_faults;
     ]
 
 (* A deliberately broken pass, alone in its pipeline: the pass-checker
    must fail the point (mirrors [chaos_point] for the commit unit). *)
 let broken_pass_point name =
-  {
-    name = "distill-broken/" ^ name;
-    distiller = Subset [ name ];
-    config = base_config;
-  }
+  point ("distill-broken/" ^ name) ~distiller:(Subset [ name ])
 
 let chaos_point ~seed ~p =
-  {
-    name = "chaos-commit";
-    distiller = Honest;
-    config = { base_config with Config.chaos_commit = Some (seed, p) };
-  }
+  point "chaos-commit"
+    ~config:
+      {
+        base_config with
+        Config.faults = Some (Plan.quiet Plan.Commit_corrupt ~seed ~p);
+      }
 
 (* Program x plan fuzzing: the plan under a plain machine, and under the
    full adaptive-degradation stack (dual mode with exponential burst
@@ -196,16 +190,10 @@ let chaos_point ~seed ~p =
    program, not the plan. *)
 let plan_grid ~plan () =
   [
-    { name = "honest"; distiller = Honest; config = base_config };
-    {
-      name = "honest-plan";
-      distiller = Honest;
-      config = { base_config with Config.faults = Some plan };
-    };
-    {
-      name = "plan-degraded";
-      distiller = Honest;
-      config =
+    point "honest";
+    point "honest-plan" ~config:{ base_config with Config.faults = Some plan };
+    point "plan-degraded"
+      ~config:
         {
           base_config with
           Config.faults = Some plan;
@@ -214,7 +202,6 @@ let plan_grid ~plan () =
           quarantine_after = 2;
           liveness_window = Some 50_000_000;
         };
-    };
   ]
 
 (* Packages are results: a [Subset] point runs the checked pass pipeline
@@ -251,11 +238,20 @@ let seq_reference ~fuel (d : Distill.t) =
 let check_package ~fuel point subname (d : Distill.t) =
   let name = point.name ^ subname in
   let seq = seq_reference ~fuel d in
-  let r = M.run ~config:point.config d in
+  let r = M.run ~reference:point.reference ~config:point.config d in
   let fails = ref [] in
   let fail fmt =
     Printf.ksprintf (fun reason -> fails := { point = name; reason } :: !fails) fmt
   in
+  (* the reference executor is the oracle of the fast one: same stop,
+     same stats, cycle for cycle *)
+  (if point.reference then
+     let fast = M.run ~config:{ point.config with Config.tracer = None } d in
+     if fast.M.stop <> r.M.stop || fast.M.stats <> r.M.stats then
+       fail
+         "fast engine diverges from the reference: %d cycles fast, %d \
+          reference"
+         fast.M.stats.M.cycles r.M.stats.M.cycles);
   (match r.M.stop with
   | M.Halted -> ()
   | M.Cycle_limit -> fail "machine stopped on the cycle limit"

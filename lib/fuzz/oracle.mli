@@ -7,8 +7,9 @@
     + the {e MSSP machine} across a grid of configurations and
       distillers — honest, aggressive, identity, the four adversarial
       masters, the amnesiac master under dual mode, fault injection,
-      isolated and control-only modes — every run with the shadow
-      refinement checker on where it applies;
+      isolated and control-only modes, and the single-step reference
+      executor (held cycle for cycle to the fast engine) — every run
+      with the shadow refinement checker on where it applies;
     + the {e formal models}: Lemma 2 (task evolution = [seq]), Theorem 2
       (safety on the complete state) and jumping refinement of a sampled
       abstract run ({!Mssp_formal.Refinement.check_trace}), on programs
@@ -49,10 +50,14 @@ type point = {
   name : string;
   distiller : distiller;
   config : Mssp_core.Mssp_config.t;
+  reference : bool;
+      (** run the machine with [Mssp_machine.run ~reference:true] and
+          additionally require its stop reason and stats to equal a
+          fast-engine run of the same package *)
 }
 
 val default_grid : unit -> point list
-(** The standard ten-point grid described above. *)
+(** The standard eleven-point grid described above. *)
 
 val switchable_passes : string list
 (** The seven named distiller passes the subset axis draws from. *)
@@ -88,7 +93,7 @@ val broken_pass_point : string -> point
 
 val chaos_point : seed:int -> p:float -> point
 (** A grid point whose verify/commit unit is {e deliberately broken}
-    ([Mssp_config.chaos_commit]): the mutation smoke test proving the
+    (a quiet [Commit_corrupt] plan): the mutation smoke test proving the
     oracle catches a buggy machine. Never part of {!default_grid}. *)
 
 val plan_grid : plan:Mssp_faults.Plan.t -> unit -> point list

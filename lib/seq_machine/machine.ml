@@ -12,7 +12,6 @@ type t = {
   mutable stores : int;
   read : Cell.t -> int option;
   write : Cell.t -> int -> unit;
-  superblock : bool;
   mutable engine : Sblock.t option;
   images : Mssp_isa.Program.t list;
 }
@@ -21,10 +20,7 @@ type t = {
    sequential interpreter and recovery replay live in this loop. The
    record is recursive only so the hoisted callbacks can bump the memory
    traffic counters. *)
-let of_state ?superblock ?(images = []) ?engine state =
-  let superblock =
-    match superblock with Some b -> b | None -> Sblock.default_enabled
-  in
+let of_state ?(images = []) ?engine state =
   let rec m =
     {
       state;
@@ -44,17 +40,16 @@ let of_state ?superblock ?(images = []) ?engine state =
           | Cell.Mem _ -> m.stores <- m.stores + 1
           | Cell.Pc | Cell.Reg _ -> ());
           Full.set state c v);
-      superblock;
       engine;
       images;
     }
   in
   m
 
-let of_program ?superblock p =
+let of_program p =
   let state = Full.create () in
   Full.load state p;
-  of_state ?superblock ~images:[ p ] state
+  of_state ~images:[ p ] state
 
 let step m =
   match m.stopped with
@@ -100,59 +95,59 @@ let engine_run m ~fuel ~min_steps ~stop_at =
   r
 
 let run ?(fuel = 100_000_000) m =
-  if m.superblock then (
-    match m.stopped with
-    | Some s -> s
-    | None -> (
-      match engine_run m ~fuel ~min_steps:0 ~stop_at:None with
-      | Sblock.Fuel -> Out_of_fuel
-      | Sblock.Halted -> Halted
-      | Sblock.Fault f -> Faulted f
-      | Sblock.Stop_at -> assert false (* no stop_at passed *)))
-  else
-    let rec go remaining =
-      if remaining = 0 then Out_of_fuel
-      else if step m then go (remaining - 1)
-      else
-        match m.stopped with
-        | Some s -> s
-        | None -> assert false
-    in
-    go fuel
+  match m.stopped with
+  | Some s -> s
+  | None -> (
+    match engine_run m ~fuel ~min_steps:0 ~stop_at:None with
+    | Sblock.Fuel -> Out_of_fuel
+    | Sblock.Halted -> Halted
+    | Sblock.Fault f -> Faulted f
+    | Sblock.Stop_at -> assert false (* no stop_at passed *))
 
 let run_until m ~fuel ~min_steps ~at =
-  if m.superblock then (
-    match m.stopped with
-    | Some _ -> `Stopped
-    | None -> (
-      match engine_run m ~fuel ~min_steps ~stop_at:(Some at) with
-      | Sblock.Fuel -> `Fuel
-      | Sblock.Stop_at -> `At_entry
-      | Sblock.Halted | Sblock.Fault _ -> `Stopped))
-  else
-    (* reference single-step driver: fuel before the step, [at] after
-       it (and only once [min_steps] have run), [at] winning over fuel
-       at the boundary — the engine path replicates this ordering *)
-    let steps = ref 0 in
-    let rec go () =
-      if !steps >= fuel then `Fuel
-      else if step m then begin
-        incr steps;
-        if !steps >= min_steps && at (Full.pc m.state) then `At_entry
-        else go ()
-      end
-      else `Stopped
-    in
-    go ()
+  match m.stopped with
+  | Some _ -> `Stopped
+  | None -> (
+    match engine_run m ~fuel ~min_steps ~stop_at:(Some at) with
+    | Sblock.Fuel -> `Fuel
+    | Sblock.Stop_at -> `At_entry
+    | Sblock.Halted | Sblock.Fault _ -> `Stopped)
+
+let run_reference ?(fuel = 100_000_000) m =
+  let rec go remaining =
+    if remaining = 0 then Out_of_fuel
+    else if step m then go (remaining - 1)
+    else
+      match m.stopped with
+      | Some s -> s
+      | None -> assert false
+  in
+  go fuel
+
+(* fuel before the step, [at] after it (and only once [min_steps] have
+   run), [at] winning over fuel at the boundary — the engine path
+   replicates this ordering *)
+let run_until_reference m ~fuel ~min_steps ~at =
+  let steps = ref 0 in
+  let rec go () =
+    if !steps >= fuel then `Fuel
+    else if step m then begin
+      incr steps;
+      if !steps >= min_steps && at (Full.pc m.state) then `At_entry
+      else go ()
+    end
+    else `Stopped
+  in
+  go ()
 
 let next s =
   let s' = Full.copy s in
-  let m = of_state ~superblock:false s' in
+  let m = of_state s' in
   ignore (step m : bool);
   s'
 
 let seq_in_place s n =
-  let m = of_state ~superblock:false s in
+  let m = of_state s in
   let rec go k = if k = 0 then None else if step m then go (k - 1) else m.stopped in
   go n
 
@@ -165,7 +160,7 @@ let output s =
   let count = Full.get_mem s Layout.out_count_addr in
   List.init count (fun i -> Full.get_mem s (Layout.out_base + i))
 
-let run_program ?fuel ?superblock p =
-  let m = of_program ?superblock p in
+let run_program ?fuel p =
+  let m = of_program p in
   ignore (run ?fuel m : stop);
   m

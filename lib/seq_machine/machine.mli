@@ -5,10 +5,11 @@
     core of the sequential baseline.
 
     Whole-run entry points ({!run}, {!run_until}) execute through the
-    pre-decoded superblock engine ({!Sblock}) when [superblock] is on
-    (the default, see {!Sblock.default_enabled}); results and the
-    instruction/load/store counters are bit-identical to the single-step
-    path either way. {!step}, {!next}, {!seq} and {!seq_in_place} always
+    pre-decoded superblock engine ({!Sblock}). {!run_reference} and
+    {!run_until_reference} are the same drivers over the single-step
+    {!Exec.step} loop — the test oracle the engine is held to: results
+    and the instruction/load/store counters are bit-identical either
+    way. {!step}, {!next}, {!seq} and {!seq_in_place} always
     single-step — per-instruction observers (the profiler, the
     verification shadow) see the plain {!Exec.step} loop. *)
 
@@ -25,7 +26,6 @@ type t = {
       (** executor read callback over [state], built once at creation so
           the step loop allocates no closures *)
   write : Mssp_state.Cell.t -> int -> unit;  (** executor write callback *)
-  superblock : bool;  (** whole-run calls use the superblock engine *)
   mutable engine : Sblock.t option;
       (** the block cache, created lazily at the first {!run}/{!run_until}
           (never by {!step}); pass one in to persist it across machines
@@ -34,18 +34,17 @@ type t = {
       (** programs pre-decoded into a lazily created engine *)
 }
 
-val of_program : ?superblock:bool -> Mssp_isa.Program.t -> t
+val of_program : Mssp_isa.Program.t -> t
 (** Fresh machine with the program loaded and PC at its entry. The
     program becomes the engine's pre-decoded image. *)
 
 val of_state :
-  ?superblock:bool ->
   ?images:Mssp_isa.Program.t list ->
   ?engine:Sblock.t ->
   Mssp_state.Full.t ->
   t
-(** Machine over an existing state (not copied). [superblock] defaults
-    to {!Sblock.default_enabled}; [images] (default none) seed a lazily
+(** Machine over an existing state (not copied). [images] (default
+    none) seed a lazily
     created engine's pre-decode; [engine] shares an existing engine —
     the caller then owns its consistency and must report external stores
     to the state via {!Sblock.note_store}. *)
@@ -72,6 +71,17 @@ val run_until :
     fuel is checked before each instruction. This is the recovery
     driver: sequential re-execution to the next checkpoint entry. *)
 
+val run_reference : ?fuel:int -> t -> stop
+(** {!run} on the single-step reference loop: no engine is created. *)
+
+val run_until_reference :
+  t ->
+  fuel:int ->
+  min_steps:int ->
+  at:(int -> bool) ->
+  [ `At_entry | `Fuel | `Stopped ]
+(** {!run_until} on the single-step reference loop. *)
+
 val next : Mssp_state.Full.t -> Mssp_state.Full.t
 (** The paper's [next(S)]: a fresh state one instruction ahead of [S].
     Total: halted/faulted states map to themselves. [S] is not modified. *)
@@ -88,5 +98,5 @@ val output : Mssp_state.Full.t -> int list
 (** The architected output stream: values emitted by [Out], oldest
     first. *)
 
-val run_program : ?fuel:int -> ?superblock:bool -> Mssp_isa.Program.t -> t
+val run_program : ?fuel:int -> Mssp_isa.Program.t -> t
 (** Convenience: load, run to completion, return the machine. *)

@@ -218,11 +218,6 @@ let step_ctx t ctx =
 
 let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
 
-let default_block_journal =
-  match Sys.getenv_opt "MSSP_SJRNL" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 (* --- block-journaled execution (the slave superblock rung) -----------
 
    The per-instruction interpreter above pays, for every instruction, a
@@ -515,14 +510,16 @@ let run_block_journal ~on_access ?engine t arch ctx =
   in
   go ()
 
-let run ?(on_access = no_access) ?(block_journal = false) ?engine t view =
+let run_reference ?(on_access = no_access) t view =
   let ctx = make_ctx ~on_access t view in
+  let rec go () = match step_ctx t ctx with Running -> go () | s -> s in
+  go ()
+
+let run ?(on_access = no_access) ?engine t view =
   match view with
-  | Fallback arch when block_journal ->
-    run_block_journal ~on_access ?engine t arch ctx
-  | Fallback _ | Isolated ->
-    let rec go () = match step_ctx t ctx with Running -> go () | s -> s in
-    go ()
+  | Fallback arch ->
+    run_block_journal ~on_access ?engine t arch (make_ctx ~on_access t view)
+  | Isolated -> run_reference ~on_access t view
 
 let live_in_size t = Journal.cardinal t.reads
 let live_out_size t = Journal.cardinal t.writes

@@ -102,14 +102,13 @@ val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree
     with [Instr.decode]; the master passes an
     {!Mssp_isa.Program.image_decoder} over the original and distilled
-    images when the superblock engine is enabled. With
-    [run ~block_journal:true], slaves climb the rest of the superblock
-    ladder too: task bodies execute from a {!Mssp_seq.Sblock.Spec}
-    cache of pre-decoded straight-line regions (shared across one
-    slave's task runs via [?engine]), and their first-reads are staged
-    into the reads journal's insertion-order log — so verification
-    still replays them in serial first-read order, identical in content
-    and order to the single-step interpreter's stream. *)
+    images. {!run} pre-decodes its blocks through it: task bodies
+    execute from a {!Mssp_seq.Sblock.Spec} cache of pre-decoded
+    straight-line regions (shared across one slave's task runs via
+    [?engine]), and their first-reads are staged into the reads
+    journal's insertion-order log — so verification still replays them
+    in serial first-read order, identical in content and order to the
+    single-step interpreter's stream. *)
 
 (** How reads outside the write buffer and live-in set are satisfied. *)
 type view =
@@ -130,30 +129,26 @@ val step : ?on_access:(int -> unit) -> t -> view -> status
 
 val run :
   ?on_access:(int -> unit) ->
-  ?block_journal:bool ->
   ?engine:Mssp_seq.Sblock.Spec.t ->
   t ->
   view ->
   status
-(** Step until the task leaves [Running]. The executor callbacks are
-    constructed once for the whole run.
-
-    [block_journal] (default [false]) runs the body from cached
-    superblocks instead of the per-instruction interpreter: blocks are
-    pre-decoded through [t.decode] from architected words, bound cells
-    resolve off the journal fast arrays, unbound cells are staged as
-    first-reads, and the PC and retirement count flush once per block
-    exit. Everything observable — status, [executed], the write buffer,
-    the [on_access] sequence, and the first-read stream in content
-    {e and} order — is bit-identical to the interpreter. The
-    interpreter remains the fallback rung, entered per instruction
-    exactly where the master engine falls back (undecodable entry
-    words, I/O-region entry) plus the speculative-I/O latch, and for
-    any code span the task's own write buffer or live-in set could
-    shadow (self-modified or live-in-bound code never executes from a
-    cached block); a store that invalidates a cached block forces block
-    exit after the store. [Isolated] tasks always use the interpreter
-    (their reads can be [Missing]).
+(** Step until the task leaves [Running], block-journaled: the body
+    runs from cached superblocks instead of the per-instruction
+    interpreter. Blocks are pre-decoded through [t.decode] from
+    architected words, bound cells resolve off the journal fast arrays,
+    unbound cells are staged as first-reads, and the PC and retirement
+    count flush once per block exit. Everything observable — status,
+    [executed], the write buffer, the [on_access] sequence, and the
+    first-read stream in content {e and} order — is bit-identical to
+    {!run_reference}. The interpreter remains the fallback rung, entered
+    per instruction exactly where the master engine falls back
+    (undecodable entry words, I/O-region entry) plus the speculative-I/O
+    latch, and for any code span the task's own write buffer or live-in
+    set could shadow (self-modified or live-in-bound code never executes
+    from a cached block); a store that invalidates a cached block forces
+    block exit after the store. [Isolated] tasks always use the
+    interpreter (their reads can be [Missing]).
 
     [engine] (default: a fresh private cache) is the block cache to
     dispatch from. MSSP tasks are around a hundred instructions — too
@@ -165,11 +160,10 @@ val run :
     {!Mssp_seq.Sblock.Spec.clear} the cache), and never share one
     engine between concurrently-running tasks. *)
 
-val default_block_journal : bool
-(** Whether callers should enable [block_journal] by default in this
-    process: [true] unless the [MSSP_SJRNL] environment variable is
-    ["0"]/["false"]/["off"]/["no"] — the slave-journal analogue of
-    {!Mssp_seq.Sblock.default_enabled}. *)
+val run_reference : ?on_access:(int -> unit) -> t -> view -> status
+(** {!run} on the per-instruction interpreter alone — the test oracle
+    the block-journaled path is held to. The executor callbacks are
+    constructed once for the whole run. *)
 
 val live_in_size : t -> int
 (** Number of recorded live-in bindings (drives verification cost). *)

@@ -648,6 +648,7 @@ let subset_point ~pool names =
         Config.verify_refinement = true;
         pool = (if pool = 0 then None else Some pool);
       };
+    Oracle.reference = false;
   }
 
 let test_single_pass_machine_equivalence () =

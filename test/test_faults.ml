@@ -1,6 +1,7 @@
 (* The fault-plan subsystem, end to end:
-   - plan DSL: absorbability predicate, legacy aliasing;
-   - legacy knobs and their explicit of_legacy plans are bit-identical;
+   - plan DSL: absorbability predicate;
+   - a quiet one-action plan fires exactly like its loud twin, minus
+     the Fault events;
    - every absorbable surface at full intensity is absorbed: final
      architected state equals SEQ, only stats/cycles move;
    - a stall plan with no watchdog spins to the cycle limit; the same
@@ -107,13 +108,6 @@ let test_plan_dsl () =
        (Plan.make
           ~policy:(watchdog_policy 1000)
           [ Plan.action Plan.Slave_stall ~seed:1 ~p:0.1 ]));
-  check "no legacy knobs, no plan" true
-    (Plan.of_legacy ~fault_injection:None ~chaos_commit:None = None);
-  (match Plan.of_legacy ~fault_injection:(Some (42, 0.5)) ~chaos_commit:None with
-  | Some { Plan.actions = [ a ]; _ } ->
-    check "alias surface" true (a.Plan.surface = Plan.Live_in_corrupt);
-    check "alias quiet" true a.Plan.quiet
-  | _ -> Alcotest.fail "of_legacy: expected one live-in action");
   check "every absorbable surface is a surface" true
     (List.for_all
        (fun s -> List.mem s Plan.all_surfaces)
@@ -128,25 +122,30 @@ let same_outcome r1 r2 =
   && r1.M.stats.M.tasks_committed = r2.M.stats.M.tasks_committed
   && Full.equal_observable r1.M.arch r2.M.arch
 
-let test_legacy_alias_bit_identical () =
-  (* the legacy knobs and their compiled plans are the same machine:
-     cycles, stats, final state all bit-equal *)
+let test_quiet_plan () =
+  let quiet = Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p:0.7 in
+  (match quiet with
+  | { Plan.actions = [ a ]; policy } ->
+    check "quiet surface" true (a.Plan.surface = Plan.Live_in_corrupt);
+    check "quiet" true a.Plan.quiet;
+    check "default policy" true (policy = Plan.default_policy)
+  | _ -> Alcotest.fail "Plan.quiet: expected one action");
+  (* the same action, loud: same decisions, same machine — only the
+     Fault events differ *)
+  let loud = Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:42 ~p:0.7 ] in
   let d = distill_of small_program in
-  let legacy =
-    M.run
-      ~config:{ checking_config with Config.fault_injection = Some (42, 0.7) }
-      d
+  let run plan =
+    traced_run ~config:{ checking_config with Config.faults = Some plan } d
   in
-  let plan =
-    Option.get
-      (Plan.of_legacy ~fault_injection:(Some (42, 0.7)) ~chaos_commit:None)
+  let rq, evq = run quiet and rl, evl = run loud in
+  let faults evs =
+    List.length (List.filter (function Trace.Fault _ -> true | _ -> false) evs)
   in
-  let explicit =
-    M.run ~config:{ checking_config with Config.faults = Some plan } d
-  in
-  check "legacy knob == explicit of_legacy plan" true
-    (same_outcome legacy explicit);
-  check "faults actually fired" true (legacy.M.stats.M.faults_injected > 0)
+  check "faults actually fired" true (rq.M.stats.M.faults_injected > 0);
+  check "quiet == loud outcome" true (same_outcome rq rl);
+  check_int "quiet emits no Fault event" 0 (faults evq);
+  check_int "loud emits one per firing" rl.M.stats.M.faults_injected
+    (faults evl)
 
 (* --- per-surface absorption ------------------------------------------- *)
 
@@ -491,8 +490,8 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "DSL and absorbability" `Quick test_plan_dsl;
-          Alcotest.test_case "legacy alias bit-identical" `Quick
-            test_legacy_alias_bit_identical;
+          Alcotest.test_case "quiet plan = loud plan, no events" `Quick
+            test_quiet_plan;
           Alcotest.test_case "disabled plan changes nothing" `Quick
             test_disabled_plan_changes_nothing;
         ] );

@@ -5,7 +5,7 @@
      paged-span-edge traffic it advertises;
    - the shrinker is well-founded (every candidate strictly smaller);
    - a machine with a DELIBERATELY broken verify/commit unit
-     ([Mssp_config.chaos_commit]) is caught by the oracle and shrunk to
+     (a quiet [Commit_corrupt] plan) is caught by the oracle and shrunk to
      a tiny repro — the mutation smoke test that proves the oracle has
      teeth. *)
 

@@ -9,6 +9,7 @@ module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
+module Plan = Mssp_faults.Plan
 module W = Mssp_workload.Workload
 module Adversary = Mssp_workload.Adversary
 module Dsl = Mssp_asm.Dsl
@@ -191,14 +192,19 @@ let test_determinism () =
     (r1.M.stats.M.tasks_committed = r2.M.stats.M.tasks_committed);
   check "same squashes" true (r1.M.stats.M.squashes = r2.M.stats.M.squashes)
 
-let test_fault_injection_harmless () =
+let test_live_in_faults_harmless () =
   (* soft errors in checkpoints: correctness must be untouched at any
      rate; only squashes may grow *)
   let d = distill_of small_program in
   let seq = seq_reference d in
   List.iter
     (fun p ->
-      let cfg = { checking_config with Config.fault_injection = Some (42, p) } in
+      let cfg =
+        {
+          checking_config with
+          Config.faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p);
+        }
+      in
       let r = M.run ~config:cfg d in
       check (Printf.sprintf "p=%.1f halted" p) true (r.M.stop = M.Halted);
       check
@@ -210,10 +216,15 @@ let test_fault_injection_harmless () =
         check "faults were actually injected" true (r.M.stats.M.faults_injected > 0))
     [ 0.1; 0.5; 1.0 ]
 
-let test_fault_injection_monotone_squashes () =
+let test_live_in_faults_monotone_squashes () =
   let d = distill_of small_program in
   let run p =
-    let cfg = { Config.default with Config.fault_injection = Some (7, p) } in
+    let cfg =
+      {
+        Config.default with
+        Config.faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:7 ~p);
+      }
+    in
     (M.run ~config:cfg d).M.stats.M.squashes
   in
   check "more faults, at least as many squashes" true (run 1.0 >= run 0.0)
@@ -329,9 +340,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "task-size knob" `Quick test_task_size_knob;
           Alcotest.test_case "fault injection harmless" `Quick
-            test_fault_injection_harmless;
+            test_live_in_faults_harmless;
           Alcotest.test_case "fault injection squashes" `Quick
-            test_fault_injection_monotone_squashes;
+            test_live_in_faults_monotone_squashes;
           Alcotest.test_case "dual mode floor" `Quick test_dual_mode_restores_floor;
           Alcotest.test_case "trace well-formed" `Quick test_trace_well_formed;
           Alcotest.test_case "control-only mode" `Quick test_control_only_mode_correct;

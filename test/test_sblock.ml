@@ -1,6 +1,7 @@
 (* The superblock engine's bit-identity contract, tested differentially:
-   whole-run and run-until execution with the engine on must match the
-   single-step reference exactly — final state, stop reason, and the
+   whole-run and run-until execution on the engine must match the
+   single-step reference ([Machine.run_reference] /
+   [Machine.run_until_reference]) exactly — final state, stop reason, and the
    instruction/load/store counters — on hand-written programs, on fuzz
    programs (SMC shapes boosted), at every fuel boundary, entering
    blocks mid-region, and across self-modifying stores both internal
@@ -24,12 +25,20 @@ open Mssp_asm.Regs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* the engine, or the single-step reference drivers *)
+let run ~reference ?fuel m =
+  if reference then Machine.run_reference ?fuel m else Machine.run ?fuel m
+
+let run_until ~reference m ~fuel ~min_steps ~at =
+  if reference then Machine.run_until_reference m ~fuel ~min_steps ~at
+  else Machine.run_until m ~fuel ~min_steps ~at
+
 (* run a program both ways; compare everything a caller can observe *)
 let same_run ?(fuel = 2_000_000) p =
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let s_on = Machine.run ~fuel on in
-  let s_off = Machine.run ~fuel off in
+  let s_off = Machine.run_reference ~fuel off in
   s_on = s_off
   && on.Machine.instructions = off.Machine.instructions
   && on.Machine.loads = off.Machine.loads
@@ -98,14 +107,14 @@ let test_fault_parity () =
   Dsl.halt b;
   let p = Dsl.build b () in
   (* corrupt the third instruction word into garbage after load *)
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let garbage = -0x7EADBEEF in
   let patch m = Full.set_mem m.Machine.state (p.Program.entry + 2) garbage in
   patch on;
   patch off;
   let s_on = Machine.run on in
-  let s_off = Machine.run off in
+  let s_off = Machine.run_reference off in
   check "same stop" true (s_on = s_off);
   (match s_on with
   | Machine.Faulted (Exec.Undecodable { pc; _ }) ->
@@ -133,10 +142,10 @@ let test_fuel_sweep () =
   Dsl.halt b;
   let p = Dsl.build b () in
   for fuel = 0 to 40 do
-    let on = Machine.of_program ~superblock:true p in
-    let off = Machine.of_program ~superblock:false p in
+    let on = Machine.of_program p in
+    let off = Machine.of_program p in
     let s_on = Machine.run ~fuel on in
-    let s_off = Machine.run ~fuel off in
+    let s_off = Machine.run_reference ~fuel off in
     check (Printf.sprintf "fuel %d stop" fuel) true (s_on = s_off);
     check_int
       (Printf.sprintf "fuel %d instructions" fuel)
@@ -158,12 +167,13 @@ let test_run_until_mid_block () =
   let p = straightline in
   (* the PC of the 9th Alui in the unrolled body: entry + 2 (two li) + 8 *)
   let mid = p.Program.entry + 10 in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
+  let drive reference =
+    let m = Machine.of_program p in
     let hits = ref 0 in
     let rec go acc =
       match
-        Machine.run_until m ~fuel:1_000_000 ~min_steps:1 ~at:(fun pc -> pc = mid)
+        run_until ~reference m ~fuel:1_000_000 ~min_steps:1 ~at:(fun pc ->
+            pc = mid)
       with
       | `At_entry ->
         incr hits;
@@ -173,8 +183,8 @@ let test_run_until_mid_block () =
     in
     go 0
   in
-  let m_on, hits_on, _ = drive true in
-  let m_off, hits_off, _ = drive false in
+  let m_on, hits_on, _ = drive false in
+  let m_off, hits_off, _ = drive true in
   check_int "same mid-block hits" hits_off hits_on;
   check "hits happened" true (hits_on > 0);
   check "same stop" true (m_on.Machine.stopped = m_off.Machine.stopped);
@@ -189,15 +199,15 @@ let test_run_until_mid_block () =
 let test_run_until_min_steps () =
   let p = straightline in
   let entry = p.Program.entry in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
+  let drive reference =
+    let m = Machine.of_program p in
     let r =
-      Machine.run_until m ~fuel:1_000_000 ~min_steps:5 ~at:(fun _ -> true)
+      run_until ~reference m ~fuel:1_000_000 ~min_steps:5 ~at:(fun _ -> true)
     in
     (r, m.Machine.instructions, Full.pc m.Machine.state)
   in
-  let r_on, n_on, pc_on = drive true in
-  let r_off, n_off, pc_off = drive false in
+  let r_on, n_on, pc_on = drive false in
+  let r_off, n_off, pc_off = drive true in
   check "both at entry" true (r_on = `At_entry && r_off = `At_entry);
   check_int "min_steps honored" 5 n_on;
   check_int "same instructions" n_off n_on;
@@ -227,10 +237,10 @@ let smc_program patched =
 
 let test_smc_invalidates () =
   let p = smc_program (Instr.Alui (Instr.Add, t2, t2, 7)) in
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let s_on = Machine.run on in
-  let s_off = Machine.run off in
+  let s_off = Machine.run_reference off in
   check "same stop" true (s_on = s_off);
   check "same state" true
     (Full.equal_observable on.Machine.state off.Machine.state);
@@ -255,11 +265,11 @@ let test_external_store_note () =
   Dsl.jmp b "head";
   let p = Dsl.build b () in
   let head = p.Program.entry in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
+  let drive reference =
+    let m = Machine.of_program p in
     (* run a few laps so the block over "head" is hot *)
     (match
-       Machine.run_until m ~fuel:1_000_000 ~min_steps:6 ~at:(fun pc ->
+       run_until ~reference m ~fuel:1_000_000 ~min_steps:6 ~at:(fun pc ->
            pc = head)
      with
     | `At_entry -> ()
@@ -269,11 +279,11 @@ let test_external_store_note () =
     (match m.Machine.engine with
     | Some eng -> Sblock.note_store eng (head + 1)
     | None -> ());
-    ignore (Machine.run ~fuel:100 m : Machine.stop);
+    ignore (run ~reference ~fuel:100 m : Machine.stop);
     (m.Machine.stopped, m.Machine.instructions, Full.get_reg m.Machine.state t0)
   in
-  let on = drive true in
-  let off = drive false in
+  let on = drive false in
+  let off = drive true in
   check "on = off" true (on = off);
   let stopped, _, _ = on in
   check "halted on the patched word" true (stopped = Some Machine.Halted)
@@ -380,7 +390,7 @@ let test_shared_engine () =
   let s = Full.create () in
   Full.load s p;
   let eng = Sblock.create ~images:[ p ] () in
-  let m1 = Machine.of_state ~superblock:true ~engine:eng s in
+  let m1 = Machine.of_state ~engine:eng s in
   let r1 =
     Machine.run_until m1 ~fuel:200 ~min_steps:1 ~at:(fun pc ->
         pc = p.Program.entry + 2)
@@ -388,12 +398,12 @@ let test_shared_engine () =
   check "first leg at entry" true (r1 = `At_entry);
   let built = Sblock.blocks_built eng in
   check "blocks built" true (built > 0);
-  let m2 = Machine.of_state ~superblock:true ~engine:eng s in
+  let m2 = Machine.of_state ~engine:eng s in
   ignore (Machine.run m2 : Machine.stop);
   check "finished" true (m2.Machine.stopped = Some Machine.Halted);
   (* reference: same program single-stepped from scratch *)
-  let off = Machine.of_program ~superblock:false p in
-  ignore (Machine.run off : Machine.stop);
+  let off = Machine.of_program p in
+  ignore (Machine.run_reference off : Machine.stop);
   check_int "combined instructions" off.Machine.instructions
     (m1.Machine.instructions + m2.Machine.instructions);
   check "same state" true

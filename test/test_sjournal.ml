@@ -1,6 +1,6 @@
 (* The block-aware slave journal's bit-identity contract, tested
-   differentially: a task body run with [Task.run ~block_journal:true]
-   must match the single-step reference exactly — status, retirement
+   differentially: a task body run with [Task.run] must match the
+   single-step reference ([Task.run_reference]) exactly — status, retirement
    count, the write buffer, the [on_access] sequence, and above all the
    first-read journal in content *and order* (the verification unit
    replays it in serial first-read order; squash attribution and
@@ -8,8 +8,8 @@
    blocks, boundaries, budgets, SMC self-patching, I/O latching and
    faults; QCheck covers fuzz programs with the SMC shape boosted; and
    full-machine legs pin the six kernels, a squash-forcing fault plan,
-   and the pool {0,4} x block-journal {on,off} grid down to the cycle
-   and the event stream. *)
+   and the pool {0,4} x engine {fast, [Mssp_machine.run ~reference]}
+   grid down to the cycle and the event stream. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
@@ -40,18 +40,18 @@ let load_arch p =
   s
 
 (* run one task body, collecting everything a caller can observe *)
-let run_task ~block_journal ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
+let run_task ~reference ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
     ?(live_in = Fragment.empty) arch (p : Program.t) =
   let t =
     Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc ~end_occurrence ~budget
       ~live_in
   in
   let acc = ref [] in
+  let on_access a = acc := a :: !acc in
+  let view = Task.Fallback (fun c -> Full.get arch c) in
   let status =
-    Task.run
-      ~on_access:(fun a -> acc := a :: !acc)
-      ~block_journal t
-      (Task.Fallback (fun c -> Full.get arch c))
+    if reference then Task.run_reference ~on_access t view
+    else Task.run ~on_access t view
   in
   (status, t, List.rev !acc)
 
@@ -64,11 +64,11 @@ let journal_list iter t =
 let same_task ?budget ?end_pc ?end_occurrence ?live_in p =
   let arch = load_arch p in
   let s_on, t_on, a_on =
-    run_task ~block_journal:true ?budget ?end_pc ?end_occurrence ?live_in arch
+    run_task ~reference:false ?budget ?end_pc ?end_occurrence ?live_in arch
       p
   in
   let s_off, t_off, a_off =
-    run_task ~block_journal:false ?budget ?end_pc ?end_occurrence ?live_in
+    run_task ~reference:true ?budget ?end_pc ?end_occurrence ?live_in
       arch p
   in
   s_on = s_off
@@ -172,7 +172,7 @@ let test_smc_self_patch () =
   assert_same_task p;
   (* and the patched trip really ran: t2 = 7 in the write buffer *)
   let arch = load_arch p in
-  let _, t, _ = run_task ~block_journal:true arch p in
+  let _, t, _ = run_task ~reference:false arch p in
   check "patched trip executed" true
     (Mssp_task.Journal.find t.Task.writes (Cell.Reg t2) = Some 7)
 
@@ -197,7 +197,7 @@ let test_live_in_shadows_code () =
   in
   assert_same_task ~live_in p;
   let arch = load_arch p in
-  let _, t, _ = run_task ~block_journal:true ~live_in arch p in
+  let _, t, _ = run_task ~reference:false ~live_in arch p in
   check "the live-in word executed" true
     (Mssp_task.Journal.find t.Task.writes (Cell.Reg t0) = Some 105);
   check "the live-in fetch is a recorded read" true
@@ -235,7 +235,7 @@ let test_io_latch () =
       let p = Dsl.build b () in
       check (Printf.sprintf "io shape %d" i) true (same_task p);
       let arch = load_arch p in
-      let s, _, _ = run_task ~block_journal:true arch p in
+      let s, _, _ = run_task ~reference:false arch p in
       match s with
       | Task.Failed (Task.Io_speculative _) -> ()
       | _ -> Alcotest.fail "expected an I/O refusal")
@@ -253,8 +253,8 @@ let test_fault_parity () =
   let p = Dsl.build b () in
   let arch = load_arch p in
   Full.set_mem arch (p.Program.entry + 2) (-0x7EADBEEF);
-  let s_on, t_on, a_on = run_task ~block_journal:true arch p in
-  let s_off, t_off, a_off = run_task ~block_journal:false arch p in
+  let s_on, t_on, a_on = run_task ~reference:false arch p in
+  let s_off, t_off, a_off = run_task ~reference:true arch p in
   check "same status" true (s_on = s_off);
   (match s_on with
   | Task.Failed (Task.Fault (Mssp_seq.Exec.Undecodable { pc; _ })) ->
@@ -303,17 +303,11 @@ let distill_bench name ~size ~train =
 
 let base4 = Config.with_slaves 4 Config.default
 
-let run_recorded ~block_journal ~pool config d =
+let run_recorded ~reference ~pool config d =
   let tracer, events = Trace.recording () in
   let r =
-    M.run
-      ~config:
-        {
-          config with
-          Config.tracer = Some tracer;
-          pool = Some pool;
-          slave_block_journal = block_journal;
-        }
+    M.run ~reference
+      ~config:{ config with Config.tracer = Some tracer; pool = Some pool }
       d
   in
   (events (), r)
@@ -338,8 +332,8 @@ let test_kernels_identical () =
       in
       let cfg = { base4 with Config.task_size = 20 } in
       same_machine_run name
-        (run_recorded ~block_journal:true ~pool:0 cfg d)
-        (run_recorded ~block_journal:false ~pool:0 cfg d))
+        (run_recorded ~reference:false ~pool:0 cfg d)
+        (run_recorded ~reference:true ~pool:0 cfg d))
     six_kernels
 
 (* squash-forcing fault plan: every squash replays the staged first-read
@@ -353,12 +347,12 @@ let test_fault_shape_identical () =
   let cfg =
     { base4 with Config.task_size = 20; Config.faults = Some stormy }
   in
-  let ev_on, r_on = run_recorded ~block_journal:true ~pool:0 cfg d in
-  let ev_off, r_off = run_recorded ~block_journal:false ~pool:0 cfg d in
+  let ev_on, r_on = run_recorded ~reference:false ~pool:0 cfg d in
+  let ev_off, r_off = run_recorded ~reference:true ~pool:0 cfg d in
   check "squashes happened" true (r_on.M.stats.M.squashes > 0);
   same_machine_run "vecsum+faults" (ev_on, r_on) (ev_off, r_off)
 
-(* the pool {0,4} x block-journal {on,off} grid on fuzz programs: all
+(* the pool {0,4} x engine {fast, reference} grid on fuzz programs: all
    four runs bit-identical — the verification-time first-read stream
    (what squash attribution, stats and the event stream are derived
    from) is independent of both the engine choice and the pool size *)
@@ -375,16 +369,16 @@ let prop_pool_grid_identical =
       | Some Machine.Halted ->
         let profile = Profile.collect ~fuel:2_000_000 p in
         let d = Distill.distill p profile in
-        let ev_ref, r_ref = run_recorded ~block_journal:false ~pool:0 qc_config d in
+        let ev_ref, r_ref = run_recorded ~reference:true ~pool:0 qc_config d in
         List.for_all
-          (fun (bj, pool) ->
-            let ev, r = run_recorded ~block_journal:bj ~pool qc_config d in
+          (fun (reference, pool) ->
+            let ev, r = run_recorded ~reference ~pool qc_config d in
             r.M.stats = r_ref.M.stats
             && r.M.stop = r_ref.M.stop
             && Full.equal_observable r.M.arch r_ref.M.arch
             && List.length ev = List.length ev_ref
             && List.for_all2 Trace.event_equal ev ev_ref)
-          [ (true, 0); (true, 4); (false, 4) ]
+          [ (false, 0); (false, 4); (true, 4) ]
       | _ -> true)
 
 let () =

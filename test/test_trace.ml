@@ -31,9 +31,11 @@ let check_int = Alcotest.(check int)
 
 (* --- traced runs ----------------------------------------------------- *)
 
-let run_traced ~config d =
+let run_traced ?reference ~config d =
   let tracer, events = Trace.recording () in
-  let r = M.run ~config:{ config with Config.tracer = Some tracer } d in
+  let r =
+    M.run ?reference ~config:{ config with Config.tracer = Some tracer } d
+  in
   (events (), r)
 
 let distill_bench name ~size ~train =
@@ -56,17 +58,13 @@ let base2 = Config.with_slaves 2 Config.default
 (* [pool = None] defers to MSSP_POOL (absent = serial), so the default
    suite follows the CI matrix leg; [golden_cases_at (Some 4)] pins the
    pooled path against the same committed traces — the bit-identity
-   contract of lib/exec, enforced on every runtest. [sjrnl] pins the
-   slave block journal explicitly (ignoring MSSP_SJRNL), so the
-   block-journaled engine is checked against the committed streams on
-   every runtest whatever the environment says. *)
-let golden_cases_at ?sjrnl pool =
+   contract of lib/exec, enforced on every runtest. [~reference:true]
+   replays every case on the single-step slave and recovery executor
+   ([Mssp_machine.run ~reference]), so the fast engine and its oracle
+   are both checked against the committed streams on every runtest. *)
+let golden_cases_at ?(reference = false) pool =
   let base2 = { base2 with Config.pool } in
-  let base2 =
-    match sjrnl with
-    | None -> base2
-    | Some bj -> { base2 with Config.slave_block_journal = bj }
-  in
+  let run_traced ~config d = run_traced ~reference ~config d in
   [
     ( "vecsum",
       fun () ->
@@ -91,7 +89,14 @@ let golden_cases_at ?sjrnl pool =
       fun () ->
         run_traced
           ~config:
-            { base2 with Config.task_size = 25; chaos_commit = Some (3, 0.5) }
+            {
+              base2 with
+              Config.task_size = 25;
+              faults =
+                Some
+                  (Mssp_faults.Plan.quiet Mssp_faults.Plan.Commit_corrupt
+                     ~seed:3 ~p:0.5);
+            }
           (distill_bench "qsort" ~size:60 ~train:30) );
     (* a benign, always-absorbed fault plan: pins the serialization of
        the Fault / Watchdog / Quarantine event variants and the
@@ -459,17 +464,20 @@ let () =
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
           (golden_cases_at (Some 4)) );
-      (* and out of block-journaled slave bodies, forced on regardless
-         of MSSP_SJRNL: the staged first-read stream must replay into
-         the exact committed event streams — including the
-         predicted_stride predictor-outcome events, which train from
-         the verification-order stream *)
-      ( "golden (block journal)",
+      (* and out of the single-step reference executor: the fast
+         engine's staged first-read stream and its oracle's serial one
+         must replay into the same committed event streams — including
+         the predicted_stride predictor-outcome events, which train
+         from the verification-order stream. The longest group label
+         sets where Alcotest cuts long test names in every group of
+         this suite: this one is kept at 22 characters so the printed
+         names stay stable. *)
+      ( "golden (reference run)",
         List.map
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
-          (golden_cases_at ~sjrnl:true None) );
+          (golden_cases_at ~reference:true None) );
       ( "attribution",
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
