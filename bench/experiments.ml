@@ -908,44 +908,6 @@ let e19 () =
   note "predictor covers the residual live-in cells). Every round is";
   note "re-verified against SEQ: adaptation only moves cycles."
 
-(* --- ADPTG: adaptation-loop guard ------------------------------------- *)
-
-(* The feedback loop must keep paying for itself: on the
-   prediction-friendly kernels the geomean of static-over-adaptive cycle
-   ratios at 8 slaves stays >= 1.15x. Deterministic simulated cycles —
-   no timers, no noise allowance. Fails the bench process (and
-   perf-smoke) when the loop stops earning its keep; best-of-rounds
-   makes < 1x impossible, so the budget polices the win, not safety. *)
-let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]
-let adptg_budget = 1.15
-
-let adptg () =
-  section "ADPTG  Adaptation guard: the feedback loop keeps its speedup";
-  let kernels =
-    List.map
-      (fun name ->
-        let a = adapt_bench name 8 in
-        let s = Adapt.round_cycles (List.hd a.Adapt.rounds) in
-        let c = Adapt.round_cycles a.Adapt.best in
-        note "%-10s static %8d  adaptive %8d  (%.3fx, round %d)" name s c
-          (float_of_int s /. float_of_int c)
-          a.Adapt.best.Adapt.index;
-        (name, s, c))
-      adptg_kernels
-  in
-  let geomean =
-    Stats.geomean
-      (List.map (fun (_, s, c) -> float_of_int s /. float_of_int c) kernels)
-  in
-  note "geomean %.3fx (budget >= %.2fx)" geomean adptg_budget;
-  Harness.adapt_guard := Some { ag_kernels = kernels; ag_geomean = geomean };
-  if geomean < adptg_budget then
-    failwith
-      (Printf.sprintf
-         "ADPTG: adaptive distillation geomean %.3fx fell below the %.2fx \
-          budget"
-         geomean adptg_budget)
-
 (* --- E1s: reduced-scale E1 for perf smoke runs ----------------------- *)
 
 (* E1 at a quarter of the reference inputs and a single slave count:
@@ -965,25 +927,126 @@ let e1s () =
   note "quarter-size inputs; geomean at 8 slaves: %s"
     (f2 (Stats.geomean (List.map snd results)))
 
-(* --- TRACEG: tracing-overhead guard ---------------------------------- *)
+(* --- the perf-smoke guards ---------------------------------------------
 
-(* The event bus's cost contract, enforced under `make perf-smoke`: a
-   fixed MSSP run with the tracer disabled must stay within 2% of the
-   same run with a bounded ring sink attached — and since the ring-on
-   wall clock upper-bounds the instrumentation's total cost, the
-   disabled path (which only ever tests one [if tracing]) is covered a
-   fortiori. Min-of-k over interleaved reps so one GC pause or a noisy
-   neighbour cannot fail the build.
+   Each guard keeps its semantic checks unconditional (final state =
+   SEQ on every run, bit-identical simulated cycles wherever it
+   compares two paths) and hands its performance metric to
+   {!Guard.check}, which records one row for the --json report's
+   [guards] array and fails the bench process (and `make perf-smoke`)
+   on an enforced violation. Timed pairs go through {!Guard.pair}:
+   interleaved base/cand/base reps, the baseline's two minima giving
+   the noise.
 
-   A 2% budget is only decidable where the clock can resolve 2%: each
-   guard times its baseline twice (interleaved with everything else)
-   and, when the two baseline minima disagree by more than the budget —
-   the host cannot even measure *itself* reproducibly, as happens on
-   1-core shared containers — or when the host has a single core (the
-   harness process itself then contends with the timed run), reports
-   the ratio without enforcing it, the same honest fallback POOLG uses
-   on small hosts. The semantic
-   half (bit-identical simulated cycles) is enforced unconditionally. *)
+   Below, every guarded metric, its bound and when it is enforced.
+   [min_cores] is the core count a timed bound presumes (on one core
+   the harness process contends with the timed run); [noise_gate] is
+   set where the bound is finer than a shared host's clock resolves, so
+   the baseline's two minima must agree within the gate before the
+   bound binds. SBLKG's bound is loose enough, and ADPTG's metric
+   deterministic, to bind on every host. *)
+
+let traceg_overhead = (* (ring - off) / off *)
+  Guard.rule ~guard:"TRACEG" ~metric:"overhead" ~unit:"ratio" ~better:Lower
+    ~min_cores:2 ~noise_gate:0.02 0.02
+
+let faultg_overhead = (* (armed - off) / off *)
+  Guard.rule ~guard:"FAULTG" ~metric:"overhead" ~unit:"ratio" ~better:Lower
+    ~min_cores:2 ~noise_gate:0.02 0.02
+
+let svcg_overhead = (* (daemon - inproc) / inproc *)
+  Guard.rule ~guard:"SVCG" ~metric:"overhead" ~unit:"ratio" ~better:Lower
+    ~min_cores:2 ~noise_gate:0.05 0.05
+
+let sjrnlg_body = (* slave-body micro, reference / journal *)
+  Guard.rule ~guard:"SJRNLG" ~metric:"body_speedup" ~unit:"x" ~better:Higher
+    ~min_cores:2 ~noise_gate:0.10 2.0
+
+let sjrnlg_machine = (* vecsum at 8 slaves, reference / fast *)
+  Guard.rule ~guard:"SJRNLG" ~metric:"machine_speedup" ~unit:"x"
+    ~better:Higher ~min_cores:2 ~noise_gate:0.10 1.3
+
+let sblkg_micro = (* straight-line micro, reference / engine: no slower,
+                     with a 5% allowance for timer noise *)
+  Guard.rule ~guard:"SBLKG" ~metric:"micro_speedup" ~unit:"x" ~better:Higher
+    (1. /. 1.05)
+
+let poolg_ratio = (* E1s grid wall clock, pooled (4 domains) / serial *)
+  Guard.rule ~guard:"POOLG" ~metric:"ratio" ~unit:"ratio" ~better:Lower
+    ~min_cores:4 0.60
+
+let adptg_geomean = (* static / adaptive cycles at 8 slaves; deterministic *)
+  Guard.rule ~guard:"ADPTG" ~metric:"geomean" ~unit:"x" ~better:Higher 1.15
+
+(* the raw wall clocks behind a guard's ratio, as report-only rows *)
+let report_walls guard walls =
+  List.iter
+    (fun (metric, s) -> Guard.report ~guard ~metric ~unit:"s" ~better:Lower s)
+    walls
+
+(* a micro leg's wall clocks and throughputs, engine and reference *)
+let report_micro guard leg instrs ~reference ~engine =
+  List.iter
+    (fun (side, s) ->
+      let metric what = Printf.sprintf "%s_%s_%s" leg side what in
+      Guard.report ~guard ~metric:(metric "wall_s") ~unit:"s" ~better:Lower s;
+      Guard.report ~guard ~metric:(metric "minstr_s") ~unit:"Minstr/s"
+        ~better:Higher
+        (float_of_int instrs /. s /. 1e6))
+    [ ("reference", reference); ("engine", engine) ]
+
+(* bit-identity across every timed call of a guard, on both sides: the
+   first call pins the value every later call must reproduce *)
+let pin guard what =
+  let first = ref None in
+  fun v ->
+    match !first with
+    | None -> first := Some v
+    | Some v0 -> if v <> v0 then failwith (guard ^ ": " ^ what)
+
+(* one verified machine run as a timed side: returns its wall seconds
+   and shows the result to [check]; [config] is built inside the timed
+   window *)
+let timed_run ?reference p config check () =
+  let t, r = Guard.time (fun () -> run ?reference ~config:(config ()) p) in
+  assert_correct p r;
+  check r;
+  t
+
+(* --- ADPTG: adaptation-loop guard -------------------------------------
+
+   The feedback loop must keep paying for itself: on the
+   prediction-friendly kernels the geomean of static-over-adaptive cycle
+   ratios at 8 slaves stays above the bound. Deterministic simulated
+   cycles — no timers. Best-of-rounds makes < 1x impossible, so the
+   bound polices the win, not safety. *)
+let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]
+
+let adptg () =
+  section "ADPTG  Adaptation guard: the feedback loop keeps its speedup";
+  let ratios =
+    List.map
+      (fun name ->
+        let a = adapt_bench name 8 in
+        let s = Adapt.round_cycles (List.hd a.Adapt.rounds) in
+        let c = Adapt.round_cycles a.Adapt.best in
+        note "%-10s static %8d  adaptive %8d  (round %d)" name s c
+          a.Adapt.best.Adapt.index;
+        let ratio = float_of_int s /. float_of_int c in
+        Guard.report ~guard:"ADPTG" ~metric:(name ^ "_ratio") ~unit:"x"
+          ~better:Higher ratio;
+        ratio)
+      adptg_kernels
+  in
+  Guard.check adptg_geomean (Stats.geomean ratios)
+
+(* --- TRACEG: tracing-overhead guard ------------------------------------
+
+   The event bus's cost contract: a fixed MSSP run with the tracer
+   disabled must stay within the budget of the same run with a bounded
+   ring sink attached — and since the ring-on wall clock upper-bounds
+   the instrumentation's total cost, the disabled path (which only ever
+   tests one [if tracing]) is covered a fortiori. *)
 let traceg () =
   section "TRACEG  Tracing-overhead guard: bus off vs ring sink";
   let module Trace = Mssp_trace.Trace in
@@ -991,71 +1054,30 @@ let traceg () =
      well under the 2% budget being enforced *)
   let p = prepare ~scale:3.0 (W.find "vecsum") in
   let cfg = with_slaves 4 in
-  let run_off () = run ~config:cfg p in
-  let run_ring () =
+  let ring () =
     let tr = Trace.create () in
-    let buf = Trace.Ring.create 4096 in
-    Trace.attach tr (Trace.Ring.sink buf);
-    run ~config:{ cfg with Config.tracer = Some tr } p
+    Trace.attach tr (Trace.Ring.sink (Trace.Ring.create 4096));
+    { cfg with Config.tracer = Some tr }
   in
-  (* a major collection before each timed rep, so whatever ran before
-     this guard (E1 leaves a large heap behind) cannot skew one side *)
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+  let same = pin "TRACEG" "tracing changed the simulated cycles" in
+  let side config = timed_run p config (fun r -> same r.M.stats.M.cycles) in
+  let off, on, noise =
+    Guard.pair ~reps:9 ~base:(side (fun () -> cfg)) ~cand:(side ring)
   in
-  ignore (run_off () : M.result);
-  ignore (run_ring () : M.result);
-  let reps = 9 in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  let best_ring = ref infinity in
-  let cycles_off = ref 0 and cycles_ring = ref 0 in
-  for _ = 1 to reps do
-    let t, r = time run_off in
-    assert_correct p r;
-    cycles_off := r.M.stats.M.cycles;
-    if t < !best_off then best_off := t;
-    let t, r = time run_ring in
-    assert_correct p r;
-    cycles_ring := r.M.stats.M.cycles;
-    if t < !best_ring then best_ring := t;
-    let t, r = time run_off in
-    assert_correct p r;
-    if t < !best_off2 then best_off2 := t
-  done;
-  if !cycles_off <> !cycles_ring then
-    failwith
-      (Printf.sprintf
-         "TRACEG: tracing changed the simulation (%d cycles off, %d on)"
-         !cycles_off !cycles_ring);
-  let noise = Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2 in
-  let best_off = Float.min !best_off !best_off2 in
-  let overhead = (!best_ring -. best_off) /. best_off in
-  note "trace off: %.4fs   ring sink: %.4fs   overhead: %+.1f%%  (budget 2%%, clock noise %.1f%%)"
-    best_off !best_ring (overhead *. 100.) (noise *. 100.);
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 || noise > 0.02 then
-    note
-      "host cannot resolve the 2%% budget (%d core%s, baseline self-disagrees by %.1f%%): ratio reported, budget not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if overhead > 0.02 then
-    failwith
-      (Printf.sprintf "TRACEG: tracing overhead %.1f%% exceeds the 2%% budget"
-         (overhead *. 100.))
+  note "simulated cycles bit-identical with and without tracing";
+  report_walls "TRACEG" [ ("off_wall_s", off); ("ring_wall_s", on) ];
+  Guard.check ~noise traceg_overhead ((on -. off) /. off)
 
-(* --- FAULTG: fault-subsystem-overhead guard --------------------------- *)
+(* --- FAULTG: fault-subsystem-overhead guard ----------------------------
 
-(* The fault injector's cost contract, enforced under `make perf-smoke`:
-   a fixed MSSP run with no plan compiled in must stay within 2% of the
-   same run with a benign plan armed — one action per absorbable surface,
-   every probability zero, so the injector is consulted on every spawn,
+   The fault injector's cost contract: a fixed MSSP run with no plan
+   compiled in must stay within the budget of the same run with a
+   benign plan armed — one action per absorbable surface, every
+   probability zero, so the injector is consulted on every spawn,
    dispatch and verify but never fires. Simulated cycles must be
-   bit-identical (a plan that cannot fire must not perturb the machine),
-   and the disabled path (a single [match] on [None]) is covered a
-   fortiori by the armed bound. Min-of-k over interleaved reps, as in
-   TRACEG. *)
+   bit-identical (a plan that cannot fire must not perturb the
+   machine), and the disabled path (a single [match] on [None]) is
+   covered a fortiori by the armed bound. *)
 let faultg () =
   section "FAULTG  Fault-subsystem guard: no plan vs benign armed plan";
   let module Plan = Mssp_faults.Plan in
@@ -1067,122 +1089,50 @@ let faultg () =
          (fun s -> Plan.action s ~seed:1 ~p:0.0)
          Plan.absorbable_surfaces)
   in
-  let run_off () = run ~config:cfg p in
-  let run_armed () = run ~config:{ cfg with Config.faults = Some benign } p in
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+  let same = pin "FAULTG" "an unfired plan changed the simulated cycles" in
+  let side config =
+    timed_run p config (fun r ->
+        if r.M.stats.M.faults_injected <> 0 then
+          failwith "FAULTG: a p = 0 action fired";
+        same r.M.stats.M.cycles)
   in
-  ignore (run_off () : M.result);
-  ignore (run_armed () : M.result);
-  let reps = 9 in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  let best_armed = ref infinity in
-  let cycles_off = ref 0 and cycles_armed = ref 0 in
-  for _ = 1 to reps do
-    let t, r = time run_off in
-    assert_correct p r;
-    cycles_off := r.M.stats.M.cycles;
-    if t < !best_off then best_off := t;
-    let t, r = time run_armed in
-    assert_correct p r;
-    cycles_armed := r.M.stats.M.cycles;
-    if r.M.stats.M.faults_injected <> 0 then
-      failwith "FAULTG: a p = 0 action fired";
-    if t < !best_armed then best_armed := t;
-    let t, r = time run_off in
-    assert_correct p r;
-    if t < !best_off2 then best_off2 := t
-  done;
-  if !cycles_off <> !cycles_armed then
-    failwith
-      (Printf.sprintf
-         "FAULTG: an unfired plan changed the simulation (%d cycles off, %d armed)"
-         !cycles_off !cycles_armed);
-  let noise = Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2 in
-  let best_off = Float.min !best_off !best_off2 in
-  let overhead = (!best_armed -. best_off) /. best_off in
-  note "plan off: %.4fs   benign armed: %.4fs   overhead: %+.1f%%  (budget 2%%, clock noise %.1f%%)"
-    best_off !best_armed (overhead *. 100.) (noise *. 100.);
-  Harness.fault_guard :=
-    Some { fg_off_s = best_off; fg_armed_s = !best_armed };
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 || noise > 0.02 then
-    note
-      "host cannot resolve the 2%% budget (%d core%s, baseline self-disagrees by %.1f%%): ratio reported, budget not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if overhead > 0.02 then
-    failwith
-      (Printf.sprintf
-         "FAULTG: fault-subsystem overhead %.1f%% exceeds the 2%% budget"
-         (overhead *. 100.))
+  let off, armed, noise =
+    Guard.pair ~reps:9
+      ~base:(side (fun () -> cfg))
+      ~cand:(side (fun () -> { cfg with Config.faults = Some benign }))
+  in
+  note "simulated cycles bit-identical with the benign plan armed";
+  report_walls "FAULTG" [ ("off_wall_s", off); ("armed_wall_s", armed) ];
+  Guard.check ~noise faultg_overhead ((armed -. off) /. off)
 
-(* --- POOLG: host-pool speedup guard ----------------------------------- *)
+(* --- POOLG: host-pool speedup guard ------------------------------------
 
-(* The domain pool's wall-clock contract, enforced under `make
-   perf-smoke`: fanning the reduced-scale E1 grid across 4 worker
-   domains must cost at most 0.6x the serial wall clock, and must
-   produce cycle-identical results. The bit-identity cross-check always
-   runs; the 0.6x budget is enforced only where it is physically
-   meaningful — hosts with at least 4 cores (a single-core container
-   can only report the ratio honestly). Either way the measured pair
-   lands in the --json report as [pool_guard]. *)
+   The domain pool's wall-clock contract: fanning the reduced-scale E1
+   grid across 4 worker domains must cut the serial wall clock below
+   the budget, and must produce cycle-identical results. The budget
+   binds only where it is physically meaningful: hosts with at least 4
+   cores. *)
 let poolg () =
   section "POOLG  Host-pool guard: E1 grid, serial vs 4 worker domains";
-  let pool_jobs = 4 in
   let prepared = List.map (fun b -> prepare ~scale:0.25 b) W.all in
   let points = e1_points prepared in
-  let timed n =
+  let same = pin "POOLG" "pooled and serial runs diverged" in
+  let side n () =
     let saved = !Harness.jobs in
     Harness.jobs := n;
     record_samples := false;
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let rs = checked_runs points in
+    let t, rs = Guard.time (fun () -> checked_runs points) in
     Harness.jobs := saved;
     record_samples := true;
-    (Unix.gettimeofday () -. t0, List.map (fun r -> r.M.stats.M.cycles) rs)
+    same (List.map (fun r -> r.M.stats.M.cycles) rs);
+    t
   in
-  (* one untimed pooled pass first: domain spawning and first-touch
-     allocation costs land here, not in a timed rep *)
-  let _, warm_cycles = timed pool_jobs in
-  let best_serial = ref infinity and best_pooled = ref infinity in
-  for _ = 1 to 2 do
-    let t, cycles = timed 1 in
-    if cycles <> warm_cycles then failwith "POOLG: serial run diverged";
-    if t < !best_serial then best_serial := t;
-    let t, cycles = timed pool_jobs in
-    if cycles <> warm_cycles then failwith "POOLG: pooled run diverged";
-    if t < !best_pooled then best_pooled := t
-  done;
-  let cores = Domain.recommended_domain_count () in
-  let ratio = !best_pooled /. !best_serial in
-  let enforced = cores >= pool_jobs in
+  (* the warm-up calls absorb domain spawning and first-touch allocation *)
+  let serial, pooled, noise = Guard.pair ~reps:2 ~base:(side 1) ~cand:(side 4) in
   note "simulated cycles identical at both job counts (%d grid points)"
     (List.length points);
-  note "serial: %.3fs   %d jobs: %.3fs   ratio: %.2fx  (budget 0.60x, %d host core%s)"
-    !best_serial pool_jobs !best_pooled ratio cores
-    (if cores = 1 then "" else "s");
-  Harness.pool_guard :=
-    Some
-      {
-        pg_jobs = pool_jobs;
-        pg_cores = cores;
-        pg_serial_s = !best_serial;
-        pg_pooled_s = !best_pooled;
-        pg_enforced = enforced;
-      };
-  if enforced then begin
-    if ratio > 0.6 then
-      failwith
-        (Printf.sprintf
-           "POOLG: pooled/serial ratio %.2fx exceeds the 0.60x budget" ratio)
-  end
-  else
-    note "host has %d core(s) < %d: ratio reported, budget not enforced"
-      cores pool_jobs
+  report_walls "POOLG" [ ("serial_wall_s", serial); ("pooled_wall_s", pooled) ];
+  Guard.check ~noise poolg_ratio (pooled /. serial)
 
 (* --- engine parity: the semantic legs SBLKG and SJRNLG share ----------
 
@@ -1193,7 +1143,7 @@ let poolg () =
    recovery through the superblock engine and re-verifies a staged
    first-read stream, whose order (content *and* order of the
    insertion-order log) is what keeps squash attribution and cycle
-   counts pinned. Returns the plain run's cycles. *)
+   counts pinned. *)
 let engine_parity guard p =
   let module Plan = Mssp_faults.Plan in
   let same leg label config =
@@ -1210,201 +1160,78 @@ let engine_parity guard p =
            "%s: the engine changed %s (%d cycles fast, %d reference)" guard
            leg fast slow);
     note "%s cycles bit-identical fast/reference: %d" label fast;
-    (fast, squashes)
+    squashes
   in
   let cfg = with_slaves 4 in
-  let on, _ = same "the simulation" "MSSP" cfg in
+  ignore (same "the simulation" "MSSP" cfg : int);
   let stormy =
     Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
   in
-  let _, squashes =
+  if
     same "a squash-heavy run" "squash-heavy"
       { cfg with Config.faults = Some stormy }
-  in
-  if squashes = 0 then
-    failwith (guard ^ ": the squash-heavy leg produced no squashes");
-  on
+    = 0
+  then failwith (guard ^ ": the squash-heavy leg produced no squashes")
 
-(* --- SBLKG: superblock-engine guard ------------------------------------ *)
+(* --- SBLKG: superblock-engine guard ------------------------------------
 
-(* The pre-decoded block engine's two contracts, enforced under `make
-   perf-smoke`:
-
-   semantics — {!engine_parity}.
-
-   performance — the engine pays for itself: the straight-line SEQ
-   micro (the workload blocks exist for) must be no slower on the
-   engine than on the reference loop; min-of-9 interleaved reps with a
-   major collection before each, as in TRACEG. The measured pair lands
-   in the --json report as [sblk_guard]; the headline >= 5x instrs/sec
-   ratio is reported by the micro section. *)
+   The pre-decoded block engine's two contracts: semantics —
+   {!engine_parity}; performance — the straight-line SEQ micro (the
+   workload blocks exist for) must be no slower on the engine than on
+   the single-step reference loop. *)
 let sblkg () =
   section "SBLKG  Superblock guard: pre-decoded blocks vs single-step";
-  let on = engine_parity "SBLKG" (prepare (W.find "vecsum")) in
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (Micro.run_straightline ~reference:false () : float);
-  ignore (Micro.run_straightline ~reference:true () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = Micro.run_straightline ~reference:false () in
-    if t < !best_on then best_on := t;
-    let t = Micro.run_straightline ~reference:true () in
-    if t < !best_off then best_off := t
-  done;
-  let speedup = !best_off /. !best_on in
-  note
-    "straight-line micro (%d instrs): engine %.4fs   reference %.4fs   speedup %.2fx"
-    Micro.straightline_instrs !best_on !best_off speedup;
-  Harness.sblk_guard :=
-    Some
-      {
-        sg_cycles = on;
-        sg_instrs = Micro.straightline_instrs;
-        sg_on_s = !best_on;
-        sg_off_s = !best_off;
-      };
-  (* "no slower", with a 5% allowance for timer noise on loaded hosts *)
-  if !best_on > !best_off *. 1.05 then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblock wall clock %.4fs is slower than single-step %.4fs"
-         !best_on !best_off)
+  engine_parity "SBLKG" (prepare (W.find "vecsum"));
+  let reference, engine, noise =
+    Guard.pair ~reps:9
+      ~base:(Micro.run_straightline ~reference:true)
+      ~cand:(Micro.run_straightline ~reference:false)
+  in
+  report_micro "SBLKG" "micro" Micro.straightline_instrs ~reference ~engine;
+  Guard.check ~noise sblkg_micro (reference /. engine)
 
-(* --- SJRNLG: slave block-journal guard --------------------------------- *)
+(* --- SJRNLG: slave block-journal guard ---------------------------------
 
-(* The block-aware slave journal's two contracts, enforced under `make
-   perf-smoke`:
-
-   semantics — {!engine_parity}.
-
-   performance — the journal pays for itself where blocks exist: the
-   slave-body micro (the straight-line task body, run as a speculative
-   task against a fallback view) must be at least 2x single-step
-   throughput on the block journal. A 2x floor needs a clock that
-   can resolve itself: as in TRACEG, the baseline is timed twice
-   (interleaved), and when the two minima disagree by more than 10% —
-   or the host has a single core — the ratio is reported without being
-   enforced. Min-of-9 interleaved reps with a major collection before
-   each. The measured pair lands in the --json report as
-   [sjrnl_guard]; the micro section reports the same pair as
-   instrs/sec rows. *)
+   The block-aware slave journal's two contracts: semantics —
+   {!engine_parity}; performance — the journal pays for itself where
+   blocks exist, on the slave-body micro (the straight-line task body,
+   run as a speculative task against a fallback view) and on a whole
+   machine. *)
 let sjrnlg () =
   section "SJRNLG  Slave block-journal guard: block journaling vs single-step";
   let p = prepare (W.find "vecsum") in
-  let on = engine_parity "SJRNLG" p in
-  let best_on = ref infinity in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  ignore (Micro.run_slave_body ~reference:false () : float);
-  ignore (Micro.run_slave_body ~reference:true () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = Micro.run_slave_body ~reference:true () in
-    if t < !best_off then best_off := t;
-    Gc.major ();
-    let t = Micro.run_slave_body ~reference:false () in
-    if t < !best_on then best_on := t;
-    Gc.major ();
-    let t = Micro.run_slave_body ~reference:true () in
-    if t < !best_off2 then best_off2 := t
-  done;
-  let noise =
-    Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2
+  engine_parity "SJRNLG" p;
+  let reference, journal, noise =
+    Guard.pair ~reps:9
+      ~base:(Micro.run_slave_body ~reference:true)
+      ~cand:(Micro.run_slave_body ~reference:false)
   in
-  let best_off = Float.min !best_off !best_off2 in
-  let speedup = best_off /. !best_on in
-  note
-    "slave-body micro (%d instrs): journal %.4fs   reference %.4fs   speedup %.2fx  \
-     (floor 2x, clock noise %.1f%%)"
-    Micro.slave_body_instrs !best_on best_off speedup (noise *. 100.);
-  let cores = Domain.recommended_domain_count () in
-  let enforced = cores >= 2 && noise <= 0.10 in
+  report_micro "SJRNLG" "body" Micro.slave_body_instrs ~reference
+    ~engine:journal;
+  Guard.check ~noise sjrnlg_body (reference /. journal);
   (* whole-machine leg: the acceptance ratio. A block-friendly kernel at
      8 slaves, the complete simulation (master, slaves, verify, commit)
      timed end to end — this is where the per-slave caches must show up
-     as wall clock, not just in the body micro. Same double-timed
-     baseline noise gate; the floor is 1.3x. *)
-  let cfg8 = with_slaves 8 in
-  let timed_run reference =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = run ~reference ~config:cfg8 p in
-    let dt = Unix.gettimeofday () -. t0 in
-    assert_correct p r;
-    dt
+     as wall clock, not just in the body micro *)
+  let cfg8 () = with_slaves 8 in
+  let side reference = timed_run ~reference p cfg8 ignore in
+  let reference, fast, noise =
+    Guard.pair ~reps:5 ~base:(side true) ~cand:(side false)
   in
-  ignore (timed_run false : float);
-  ignore (timed_run true : float);
-  let m_on = ref infinity in
-  let m_off = ref infinity and m_off2 = ref infinity in
-  for _ = 1 to 5 do
-    let t = timed_run true in
-    if t < !m_off then m_off := t;
-    let t = timed_run false in
-    if t < !m_on then m_on := t;
-    let t = timed_run true in
-    if t < !m_off2 then m_off2 := t
-  done;
-  let m_noise = Float.abs (!m_off -. !m_off2) /. Float.min !m_off !m_off2 in
-  let m_off = Float.min !m_off !m_off2 in
-  let m_speedup = m_off /. !m_on in
-  note
-    "whole machine (vecsum, 8 slaves): fast %.4fs   reference %.4fs   \
-     speedup %.2fx  (floor 1.3x, clock noise %.1f%%)"
-    !m_on m_off m_speedup (m_noise *. 100.);
-  let m_enforced = cores >= 2 && m_noise <= 0.10 in
-  Harness.sjrnl_guard :=
-    Some
-      {
-        jg_cycles = on;
-        jg_instrs = Micro.slave_body_instrs;
-        jg_on_s = !best_on;
-        jg_off_s = best_off;
-        jg_noise = noise;
-        jg_enforced = enforced;
-        jg_mach_on_s = !m_on;
-        jg_mach_off_s = m_off;
-        jg_mach_noise = m_noise;
-        jg_mach_enforced = m_enforced;
-      };
-  if not enforced then
-    note
-      "host cannot resolve the 2x floor (%d core%s, baseline self-disagrees \
-       by %.1f%%): ratio reported, floor not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: block-journal slave throughput is only %.2fx single-step \
-          (floor 2x)"
-         speedup);
-  if not m_enforced then
-    note
-      "host cannot resolve the 1.3x machine floor (%d core%s, baseline \
-       self-disagrees by %.1f%%): ratio reported, floor not enforced"
-      cores (if cores = 1 then "" else "s") (m_noise *. 100.)
-  else if m_speedup < 1.3 then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: whole-machine wall clock is only %.2fx the single-step \
-          reference at 8 slaves (floor 1.3x)"
-         m_speedup)
+  report_walls "SJRNLG"
+    [ ("machine_reference_wall_s", reference); ("machine_engine_wall_s", fast) ];
+  Guard.check ~noise sjrnlg_machine (reference /. fast)
 
-(* --- SVCG: service-layer-overhead guard -------------------------------- *)
+(* --- SVCG: service-layer-overhead guard --------------------------------
 
-(* The daemon's cost contract, enforced under `make perf-smoke`: a full
-   round trip through mssp_simd — connect, submit over the socket,
-   schedule through the admission queue, stream the result back — must
-   cost at most 5% over the identical job run in-process, on a probe
-   job big enough (~100 ms of simulation) that the budget is about the
-   service layer, not the clock. Bit-identity between the two paths is
-   enforced unconditionally: the daemon's reply must carry the same
-   simulated cycles and final-state digest as the in-process run, every
-   rep. The 5% budget follows TRACEG's honesty protocol — the
-   in-process baseline is timed twice, and when the two minima disagree
-   by more than the budget, or the host has a single core (the daemon's
-   service threads then contend with the run being timed), the ratio is
-   reported without being enforced. The measured pair lands in the
-   --json report as [svc_guard]. *)
+   The daemon's cost contract: a full round trip through mssp_simd —
+   connect, submit over the socket, schedule through the admission
+   queue, stream the result back — must stay within the budget of the
+   identical job run in-process, on a probe job big enough (~100 ms of
+   simulation) that the budget is about the service layer, not the
+   clock. Bit-identity between the two paths is enforced on every call:
+   the daemon's reply must carry the same simulated cycles and
+   final-state digest as the in-process run. *)
 let svcg () =
   section "SVCG  Service guard: in-process vs daemon round trip";
   let module P = Mssp_service.Protocol in
@@ -1477,76 +1304,32 @@ let svcg () =
       | C.Failed { exn; _ }, _ -> failwith ("SVCG: probe failed: " ^ exn)
       | C.Cancelled reason, _ -> failwith ("SVCG: probe cancelled: " ^ reason))
   in
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+  (* the warm-up calls pay the daemon's distillation-cache miss; the
+     timed reps measure the steady state *)
+  let same = pin "SVCG" "daemon round trip diverged from in-process" in
+  let inproc_side () =
+    let t, (r, digest) = Guard.time inproc in
+    same (r.M.stats.M.cycles, digest);
+    t
   in
-  (* warm both paths untimed: the daemon's first submit pays the
-     distillation-cache miss, later reps measure the steady state *)
-  let warm, warm_digest = inproc () in
-  let warm_cycles = warm.M.stats.M.cycles in
-  let warm_d = daemon () in
-  if warm_d.P.cycles <> warm_cycles || warm_d.P.state_digest <> warm_digest
-  then failwith "SVCG: daemon round trip diverged from in-process";
-  let reps = 5 in
-  let best_in = ref infinity and best_in2 = ref infinity in
-  let best_d = ref infinity in
-  let last_wall_ms = ref 0. in
-  for _ = 1 to reps do
-    let t, (r, dg) = time inproc in
-    if r.M.stats.M.cycles <> warm_cycles || dg <> warm_digest then
-      failwith "SVCG: in-process diverged";
-    if t < !best_in then best_in := t;
-    let t, r = time daemon in
-    if r.P.cycles <> warm_cycles || r.P.state_digest <> warm_digest then
-      failwith "SVCG: daemon round trip diverged from in-process";
-    if t < !best_d then best_d := t;
-    last_wall_ms := r.P.wall_ms;
-    let t, (r, dg) = time inproc in
-    if r.M.stats.M.cycles <> warm_cycles || dg <> warm_digest then
-      failwith "SVCG: in-process diverged";
-    if t < !best_in2 then best_in2 := t
-  done;
-  let budget = 0.05 in
-  let baseline = Float.min !best_in !best_in2 in
-  let noise = Float.abs (!best_in -. !best_in2) /. baseline in
-  let cores = Domain.recommended_domain_count () in
-  let enforced = cores > 1 && noise <= budget in
-  let overhead = (!best_d -. baseline) /. baseline in
+  let replies = ref [] in
+  let daemon_side () =
+    let t, r = Guard.time daemon in
+    same (r.P.cycles, r.P.state_digest);
+    replies := (t, r) :: !replies;
+    t
+  in
+  let inproc_s, daemon_s, noise =
+    Guard.pair ~reps:5 ~base:inproc_side ~cand:daemon_side
+  in
+  (* the reply behind the best round trip *)
+  let best = List.assoc daemon_s !replies in
   note "simulated cycles identical in-process and through the daemon (%d)"
-    warm_cycles;
-  note
-    "in-process: %.4fs   daemon round trip: %.4fs   overhead: %+.1f%%  \
-     (budget +%.0f%%, clock noise %.1f%%)"
-    baseline !best_d (overhead *. 100.) (budget *. 100.) (noise *. 100.);
+    best.P.cycles;
   note "daemon-side execution: %.1f ms of the %.1f ms round trip"
-    !last_wall_ms (!best_d *. 1000.);
-  Harness.svc_guard :=
-    Some
-      {
-        vg_cycles = warm_cycles;
-        vg_inproc_s = baseline;
-        vg_daemon_s = !best_d;
-        vg_noise = noise;
-        vg_enforced = enforced;
-      };
-  if enforced then begin
-    if overhead > budget then
-      failwith
-        (Printf.sprintf
-           "SVCG: daemon round trip costs %+.1f%% over in-process (budget \
-            +%.0f%%)"
-           (overhead *. 100.) (budget *. 100.))
-  end
-  else
-    note
-      "host cannot enforce the +%.0f%% budget (%d core%s, baseline \
-       self-disagrees by %.1f%%): overhead reported, not enforced"
-      (budget *. 100.) cores
-      (if cores = 1 then "" else "s")
-      (noise *. 100.)
+    best.P.wall_ms (daemon_s *. 1000.);
+  report_walls "SVCG" [ ("inproc_wall_s", inproc_s); ("daemon_wall_s", daemon_s) ];
+  Guard.check ~noise svcg_overhead ((daemon_s -. inproc_s) /. inproc_s)
 
 let all : (string * (unit -> unit)) list =
   [

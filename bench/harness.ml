@@ -109,77 +109,6 @@ let checked_runs points =
     points results;
   results
 
-(* POOLG's measured wall clocks, picked up by the bench --json writer *)
-type pool_guard = {
-  pg_jobs : int;
-  pg_cores : int;  (** Domain.recommended_domain_count on this host *)
-  pg_serial_s : float;
-  pg_pooled_s : float;
-  pg_enforced : bool;  (** the 0.6x budget was a hard failure condition *)
-}
-
-let pool_guard : pool_guard option ref = ref None
-
-(* FAULTG's measured wall clocks, picked up by the bench --json writer *)
-type fault_guard = {
-  fg_off_s : float;  (** no plan compiled in ([Config.faults = None]) *)
-  fg_armed_s : float;  (** benign plan compiled in, every action at p = 0 *)
-}
-
-let fault_guard : fault_guard option ref = ref None
-
-(* SBLKG's measurements, picked up by the bench --json writer *)
-type sblk_guard = {
-  sg_cycles : int;  (** MSSP vecsum cycles — bit-identical on both engines *)
-  sg_instrs : int;  (** straight-line micro retired instructions *)
-  sg_on_s : float;  (** straight-line micro wall clock, superblock engine *)
-  sg_off_s : float;  (** single-step reference *)
-}
-
-let sblk_guard : sblk_guard option ref = ref None
-
-(* SJRNLG's measurements, picked up by the bench --json writer *)
-type sjrnl_guard = {
-  jg_cycles : int;
-      (** MSSP vecsum cycles — bit-identical on both engines *)
-  jg_instrs : int;  (** slave-body micro retired instructions *)
-  jg_on_s : float;  (** slave-body micro wall clock, block journal *)
-  jg_off_s : float;  (** single-step slave reference *)
-  jg_noise : float;  (** double-timed baseline self-disagreement *)
-  jg_enforced : bool;  (** the 2x floor was a hard failure condition *)
-  jg_mach_on_s : float;
-      (** whole-machine wall clock (vecsum, 8 slaves), fast engine *)
-  jg_mach_off_s : float;  (** same machine run, [~reference:true] *)
-  jg_mach_noise : float;  (** double-timed machine baseline disagreement *)
-  jg_mach_enforced : bool;  (** the 1.3x floor was a hard failure condition *)
-}
-
-let sjrnl_guard : sjrnl_guard option ref = ref None
-
-(* SVCG's measurements, picked up by the bench --json writer *)
-type svc_guard = {
-  vg_cycles : int;
-      (** simulated cycles of the probe job — bit-identical in-process
-          and through the daemon *)
-  vg_inproc_s : float;  (** in-process run+distill wall clock *)
-  vg_daemon_s : float;  (** same job, full daemon round trip *)
-  vg_noise : float;  (** double-timed baseline self-disagreement *)
-  vg_enforced : bool;  (** the 5% budget was a hard failure condition *)
-}
-
-let svc_guard : svc_guard option ref = ref None
-
-(* ADPTG's measurements, picked up by the bench --json writer *)
-type adapt_guard = {
-  ag_kernels : (string * int * int) list;
-      (** per kernel: name, static (round 0) cycles, adaptive-best cycles
-          — both deterministic simulated cycle counts at 8 slaves with
-          the tournament predictor on *)
-  ag_geomean : float;  (** geomean of static / adaptive-best ratios *)
-}
-
-let adapt_guard : adapt_guard option ref = ref None
-
 let section title =
   (match String.index_opt title ' ' with
   | Some i -> current_section := String.sub title 0 i

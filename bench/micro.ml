@@ -215,9 +215,8 @@ let test_run_trace_ring =
    The workload the pre-decoded engine exists for: a hot loop whose body
    is one long straight-line region (64 ALU ops per trip), so nearly
    every dynamic instruction executes from inside a cached block. The
-   [instructions_per_sec] pair below is the headline number the SBLKG
-   guard and BENCH_mssp.json report; [~reference:true] runs the same
-   program through the single-step reference loop. *)
+   SBLKG guard times it on the engine and, [~reference:true], on the
+   single-step reference loop. *)
 
 let straightline_trips = 2048
 
@@ -239,19 +238,14 @@ let straightline_instrs = 1 + (straightline_trips * 66)
 (* one timed run; returns wall seconds, checks the run was the run *)
 let run_straightline ~reference () =
   let m = Machine.of_program straightline_program in
-  let t0 = Unix.gettimeofday () in
-  (match if reference then Machine.run_reference m else Machine.run m with
-  | Machine.Halted -> ()
-  | _ -> failwith "straight-line micro did not halt");
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt, stop =
+    Guard.time (fun () ->
+        if reference then Machine.run_reference m else Machine.run m)
+  in
+  if stop <> Machine.Halted then failwith "straight-line micro did not halt";
   if m.Machine.instructions <> straightline_instrs then
     failwith "straight-line micro retired the wrong instruction count";
   dt
-
-type throughput = { ips_sblk : float; ips_step : float }
-
-(* filled by [run]; the --json writer turns it into micro rows *)
-let throughput : throughput option ref = ref None
 
 (* --- slave-body throughput: block journal vs single-step -------------
 
@@ -260,9 +254,7 @@ let throughput : throughput option ref = ref None
    reads resolving through the journal stack. [Task.run] executes from a
    per-task-run superblock cache with first-reads staged into the
    insertion-order log; [~reference:true] is the single-step reference
-   executor.
-   The [instructions_per_sec] pair is the headline number the SJRNLG
-   guard and BENCH_mssp.json report. *)
+   executor. The SJRNLG guard times both. *)
 
 let slave_body_instrs = straightline_instrs
 
@@ -281,65 +273,17 @@ let run_slave_body ~reference () =
       ~budget:(slave_body_instrs + 8)
       ~live_in:(Fragment.of_list [])
   in
-  let t0 = Unix.gettimeofday () in
-  let status =
-    if reference then Task.run_reference t slave_view
-    else Task.run t slave_view
+  let dt, status =
+    Guard.time (fun () ->
+        if reference then Task.run_reference t slave_view
+        else Task.run t slave_view)
   in
-  let dt = Unix.gettimeofday () -. t0 in
   (match status with
   | Task.Complete Task.Program_halted -> ()
   | _ -> failwith "slave-body micro did not halt");
   if t.Task.executed <> slave_body_instrs then
     failwith "slave-body micro retired the wrong instruction count";
   dt
-
-type slave_throughput = { sips_blk : float; sips_step : float }
-
-(* filled by [run]; the --json writer turns it into micro rows *)
-let slave_throughput : slave_throughput option ref = ref None
-
-let measure_slave_throughput () =
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_slave_body ~reference:false () : float);
-  ignore (run_slave_body ~reference:true () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = run_slave_body ~reference:false () in
-    if t < !best_on then best_on := t;
-    let t = run_slave_body ~reference:true () in
-    if t < !best_off then best_off := t
-  done;
-  let ips t = float_of_int slave_body_instrs /. t in
-  let r = { sips_blk = ips !best_on; sips_step = ips !best_off } in
-  slave_throughput := Some r;
-  Printf.printf
-    "\n\
-    \  slave-body micro (%d instrs): %.1f M instrs/s block journal, %.1f M \
-     single-step  (%.2fx)\n"
-    slave_body_instrs (r.sips_blk /. 1e6) (r.sips_step /. 1e6)
-    (r.sips_blk /. r.sips_step)
-
-let measure_throughput () =
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_straightline ~reference:false () : float);
-  ignore (run_straightline ~reference:true () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = run_straightline ~reference:false () in
-    if t < !best_on then best_on := t;
-    let t = run_straightline ~reference:true () in
-    if t < !best_off then best_off := t
-  done;
-  let ips t = float_of_int straightline_instrs /. t in
-  let r = { ips_sblk = ips !best_on; ips_step = ips !best_off } in
-  throughput := Some r;
-  Printf.printf
-    "\n\
-    \  straight-line micro (%d instrs): %.1f M instrs/s superblock, %.1f M \
-     single-step  (%.2fx)\n"
-    straightline_instrs (r.ips_sblk /. 1e6) (r.ips_step /. 1e6)
-    (r.ips_sblk /. r.ips_step)
 
 let tests =
   Test.make_grouped ~name:"mssp hot paths"
@@ -414,6 +358,4 @@ let run () =
       (off /. 1e3) (ring /. 1e3)
       ((ring -. off) /. off *. 100.)
   | _ -> ());
-  measure_throughput ();
-  measure_slave_throughput ();
   estimates
