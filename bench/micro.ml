@@ -99,7 +99,7 @@ let task_arch =
   s
 
 let task_entry = counting_loop.Mssp_isa.Program.entry
-let task_view = Task.Fallback (fun c -> Full.get task_arch c)
+let task_view = Task.Fallback task_arch
 
 let task_live_in =
   Fragment.of_list
@@ -110,7 +110,7 @@ let test_task_run =
     (Staged.stage (fun () ->
          let t =
            Task.make ~id:0 ~start_pc:task_entry ~end_pc:None ~end_occurrence:1
-             ~budget:100 ~live_in:task_live_in
+             ~budget:100 ~live_in:task_live_in ()
          in
          Task.run t task_view))
 
@@ -133,7 +133,7 @@ let test_task_run_pooled =
     (Staged.stage (fun () ->
          let t =
            Task.make ~id:0 ~start_pc:task_entry ~end_pc:None ~end_occurrence:1
-             ~budget:100 ~live_in:task_live_in
+             ~budget:100 ~live_in:task_live_in ()
          in
          Pool.await
            (Pool.submit (Lazy.force micro_pool) (fun () ->
@@ -264,14 +264,14 @@ let slave_arch =
   s
 
 let slave_entry = straightline_program.Mssp_isa.Program.entry
-let slave_view = Task.Fallback (fun c -> Full.get slave_arch c)
+let slave_view = Task.Fallback slave_arch
 
 (* one timed run; returns wall seconds, checks the run was the run *)
 let run_slave_body ~reference () =
   let t =
     Task.make ~id:0 ~start_pc:slave_entry ~end_pc:None ~end_occurrence:1
       ~budget:(slave_body_instrs + 8)
-      ~live_in:(Fragment.of_list [])
+      ~live_in:(Fragment.of_list []) ()
   in
   let dt, status =
     Guard.time (fun () ->

@@ -6,6 +6,7 @@ module Exec = Mssp_seq.Exec
 module Sblock = Mssp_seq.Sblock
 module Program = Mssp_isa.Program
 module Task = Mssp_task.Task
+module Journal = Mssp_task.Journal
 module Distill = Mssp_distill.Distill
 module Sim = Mssp_sim_engine.Sim
 module Hierarchy = Mssp_cache.Cache.Hierarchy
@@ -203,6 +204,9 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
         Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ())
   in
   let slave_free = Array.make cfg.slaves true in
+  (* memory live-in count of each slave's last task: sizes the next
+     task's first-read journal (capacity only, never observable) *)
+  let slave_live_ins = Array.make cfg.slaves 0 in
   (* per-slave quarantine state: a benched slave is never assigned again *)
   let quarantined = Array.make cfg.slaves false in
   let slave_streak = Array.make cfg.slaves 0 in
@@ -275,17 +279,12 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
      invalidation probes, or a block over self-modified code could go
      stale — across recovery segments (master engine) or across task
      runs (slave caches). *)
-  let note_arch_cell c _v =
-    match c with
-    | Cell.Mem a ->
-      if engine_live () then Sblock.note_store (Lazy.force recovery_engine) a;
-      (match slave_specs with
-      | None -> ()
-      | Some specs ->
-        Array.iter
-          (fun e -> ignore (Sblock.Spec.note_store e a : bool))
-          specs)
-    | Cell.Pc | Cell.Reg _ -> ()
+  let note_arch_mem a _v =
+    if engine_live () then Sblock.note_store (Lazy.force recovery_engine) a;
+    match slave_specs with
+    | None -> ()
+    | Some specs ->
+      Array.iter (fun e -> ignore (Sblock.Spec.note_store e a : bool)) specs
   in
   (* The event bus. Every emission site is guarded by [if tracing then],
      so a disabled run pays exactly one predictable branch per would-be
@@ -357,16 +356,19 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
       | Some a -> (
         let mems =
           Fragment.fold
-            (fun c v acc -> if Cell.is_mem c then (c, v) :: acc else acc)
+            (fun c v acc ->
+              match c with
+              | Cell.Mem addr -> (addr, v) :: acc
+              | Cell.Pc | Cell.Reg _ -> acc)
             (Task.writes_fragment task) []
         in
         match mems with
         | [] -> ()
         | l ->
-          let c, v = List.nth l (cp_id mod List.length l) in
+          let addr, v = List.nth l (cp_id mod List.length l) in
           fault_event a "commit_corrupt" (Some cp_id);
-          Full.set arch c (v lxor 0x2A);
-          if engine_live () || specs_live then note_arch_cell c 0)
+          Full.set_mem arch addr (v lxor 0x2A);
+          if engine_live () || specs_live then note_arch_mem addr 0)
       | None -> ())
   in
   (* dual-mode: squashes with no commit in between *)
@@ -388,15 +390,14 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
     | 0 -> None
     | n -> Some (Pool.global ~size:n ())
   in
-  let task_view () =
-    if cfg.isolated_slaves then Task.Isolated
-    else Task.Fallback (fun c -> Full.get arch c)
+  let task_view =
+    if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch
   in
   let run_task ~on_access s task =
     let status =
       match slave_specs with
-      | None -> Task.run_reference ~on_access task (task_view ())
-      | Some specs -> Task.run ~on_access ~engine:specs.(s) task (task_view ())
+      | None -> Task.run_reference ~on_access task task_view
+      | Some specs -> Task.run ~on_access ~engine:specs.(s) task task_view
     in
     ignore (status : Task.status)
   in
@@ -647,9 +648,10 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
             slave_free.(s) <- false;
             cp.cp_slave <- s;
             let task =
-              Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
+              Task.make ~reads_size:slave_live_ins.(s) ~id:cp.cp_id
+                ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
                 ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
-                ~live_in:cp.cp_live_in
+                ~live_in:cp.cp_live_in ()
             in
             let task =
               if reference then task
@@ -672,6 +674,7 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
          because phase 2 contributes neither. *)
       List.iter2
         (fun (cp, s, task) cost ->
+          slave_live_ins.(s) <- Journal.mem_count task.Task.reads;
           if tracing then
             temit
               (Trace.Slave_start
@@ -829,7 +832,7 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
           ignore (Queue.pop window : checkpoint);
           Task.commit_into task arch;
           if engine_live () || specs_live then
-            Task.iter_writes note_arch_cell task;
+            Task.iter_mem_writes note_arch_mem task;
           maybe_chaos_commit cp.cp_id task;
           let n_outs = Task.live_out_size task in
           fruitless_squashes := 0;

@@ -2,43 +2,53 @@ module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Reg = Mssp_isa.Reg
 
-(* Memory bindings live in a hashtable for the O(1) probe, plus an
-   insertion-order log of addresses. The log is what makes the journal's
-   iteration order a *contract* rather than an accident of hashing: a
-   reads journal replays its first-reads in serial first-read order at
-   verification time, whatever mixture of per-instruction recording and
-   block-batched staging produced them, and whatever the table's
-   capacity. That decouples the observable order from [mem_size]: any
-   sizing is bit-identical. *)
+(* Memory bindings live in an insertion-order log ([addrs]/[vals]) with
+   an open-addressed index over it, the layout of the master's store
+   buffer. The log is what makes the journal's iteration order a
+   *contract* rather than an accident of hashing: a reads journal
+   replays its first-reads in serial first-read order at verification
+   time, whatever mixture of per-instruction recording and block-batched
+   staging produced them, and whatever the log's capacity. That
+   decouples the observable order from [mem_size]: any sizing is
+   bit-identical.
+
+   The index holds log positions ([-1] for an empty slot). Its size is a
+   power of two and the log's capacity three quarters of it; the log
+   grows the moment it fills, so the index always keeps an empty slot
+   and a linear probe always ends. Probes and rebinds allocate
+   nothing. *)
 type t = {
   mutable pc : int;
   mutable pc_set : bool;
   regs : int array;
   mutable reg_mask : int; (* bit [Reg.to_int r] set iff the register is bound *)
-  mem : (int, int) Hashtbl.t;
-  mutable mem_order : int array; (* addresses, in first-binding order *)
-  mutable mem_first : int array; (* values at first binding, parallel *)
-  mutable rebound : bool; (* a binding was replaced: [mem_first] may be stale *)
-  mutable mem_n : int;
+  mutable addrs : int array; (* addresses, in first-binding order *)
+  mutable vals : int array; (* current value of each logged address *)
+  mutable n : int;
+  mutable index : int array; (* log position of a slot's address, or -1 *)
+  mutable mask : int; (* index size - 1 *)
   mutable mem_lo : int; (* bounds of every address ever bound; *)
   mutable mem_hi : int; (* lo > hi when no memory is bound *)
 }
 
-(* the log starts at a quarter of the table's size and doubles on demand:
-   most tasks bind a few dozen cells, and a journal is allocated per
+(* the smallest index size (a power of two, at least 8) whose log takes
+   [n] bindings without growing *)
+let rec index_size k n = if 3 * k / 4 > n then k else index_size (2 * k) n
+
+(* most tasks bind a few dozen cells, and a journal is allocated per
    task, so an oversized log is promoted garbage on every spawn *)
-let create ?(mem_size = 64) () =
-  let log_size = max 8 (mem_size / 4) in
+let create ?(mem_size = 8) () =
+  let size = index_size 8 mem_size in
   {
     pc = 0;
     pc_set = false;
     regs = Array.make Reg.count 0;
     reg_mask = 0;
-    mem = Hashtbl.create mem_size;
-    mem_order = Array.make log_size 0;
-    mem_first = Array.make log_size 0;
-    rebound = false;
-    mem_n = 0;
+    addrs = Array.make (3 * size / 4) 0;
+    vals = Array.make (3 * size / 4) 0;
+    n = 0;
+    index = Array.make size (-1);
+    mask = size - 1;
     mem_lo = max_int;
     mem_hi = min_int;
   }
@@ -58,40 +68,62 @@ let set_reg j i v =
   Array.unsafe_set j.regs i v;
   j.reg_mask <- j.reg_mask lor (1 lsl i)
 
-let find_mem j a = Hashtbl.find_opt j.mem a
+let[@inline] hash a mask = ((a * 0x9E3779B1) lsr 15) land mask
 
-let grow buf n =
-  let bigger = Array.make (2 * n) 0 in
-  Array.blit buf 0 bigger 0 n;
-  bigger
+(* the slot holding [a], or the empty slot where it would go *)
+let rec slot j a i =
+  let p = Array.unsafe_get j.index i in
+  if p < 0 || Array.unsafe_get j.addrs p = a then i
+  else slot j a ((i + 1) land j.mask)
 
-let log_mem j a v =
+let[@inline] slot_of j a = slot j a (hash a j.mask)
+let mem_pos j a = Array.unsafe_get j.index (slot_of j a)
+let mem_value j p = Array.unsafe_get j.vals p
+
+let find_mem j a =
+  let p = mem_pos j a in
+  if p < 0 then None else Some (mem_value j p)
+
+(* double the index and the log, then re-index the log *)
+let grow j =
+  let size = 2 * (j.mask + 1) in
+  let resize a =
+    let b = Array.make (3 * size / 4) 0 in
+    Array.blit a 0 b 0 j.n;
+    b
+  in
+  j.addrs <- resize j.addrs;
+  j.vals <- resize j.vals;
+  j.index <- Array.make size (-1);
+  j.mask <- size - 1;
+  for k = 0 to j.n - 1 do
+    Array.unsafe_set j.index (slot_of j (Array.unsafe_get j.addrs k)) k
+  done
+
+(* bind a fresh address at its empty slot [s], growing as the log fills *)
+let append j s a v =
   if a < j.mem_lo then j.mem_lo <- a;
   if a > j.mem_hi then j.mem_hi <- a;
-  let n = j.mem_n in
-  if n = Array.length j.mem_order then begin
-    j.mem_order <- grow j.mem_order n;
-    j.mem_first <- grow j.mem_first n
-  end;
-  Array.unsafe_set j.mem_order n a;
-  Array.unsafe_set j.mem_first n v;
-  j.mem_n <- n + 1
-
-let record_mem j a v =
-  log_mem j a v;
-  Hashtbl.add j.mem a v
+  let k = j.n in
+  Array.unsafe_set j.addrs k a;
+  Array.unsafe_set j.vals k v;
+  Array.unsafe_set j.index s k;
+  j.n <- k + 1;
+  if j.n = Array.length j.addrs then grow j
 
 let set_mem j a v =
-  if Hashtbl.mem j.mem a then begin
-    Hashtbl.replace j.mem a v;
-    j.rebound <- true
-  end
-  else record_mem j a v
+  let s = slot_of j a in
+  let p = Array.unsafe_get j.index s in
+  if p >= 0 then Array.unsafe_set j.vals p v else append j s a v
+
+let record_mem j a v =
+  let s = slot_of j a in
+  if Array.unsafe_get j.index s < 0 then append j s a v
 
 (* conservative O(1) span test off the bounds above: [true] guarantees
    no memory binding lies in [lo, hi] (inclusive) — the block executor's
    is-this-code-span-journal-shadowed probe *)
-let mem_avoids j ~lo ~hi = j.mem_n = 0 || j.mem_hi < lo || j.mem_lo > hi
+let mem_avoids j ~lo ~hi = j.n = 0 || j.mem_hi < lo || j.mem_lo > hi
 
 let set j c v =
   match c with
@@ -112,19 +144,28 @@ let popcount n =
   let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
   go n 0
 
-let cardinal j = (if j.pc_set then 1 else 0) + popcount j.reg_mask + j.mem_n
+let mem_count j = j.n
+let cardinal j = (if j.pc_set then 1 else 0) + popcount j.reg_mask + j.n
 
-let mem_value j a = Hashtbl.find j.mem a
+let iter_mem f j =
+  for k = 0 to j.n - 1 do
+    f (Array.unsafe_get j.addrs k) (Array.unsafe_get j.vals k)
+  done
 
 let iter f j =
   if j.pc_set then f Cell.Pc j.pc;
   for i = 0 to Reg.count - 1 do
     if has_reg j i then f (Cell.Reg (Reg.of_int i)) (reg j i)
   done;
-  for k = 0 to j.mem_n - 1 do
-    let a = Array.unsafe_get j.mem_order k in
-    f (Cell.mem a) (mem_value j a)
-  done
+  iter_mem (fun a v -> f (Cell.mem a) v) j
+
+let for_all_mem p j =
+  let rec go k =
+    k >= j.n
+    || p (Array.unsafe_get j.addrs k) (Array.unsafe_get j.vals k)
+       && go (k + 1)
+  in
+  go 0
 
 let for_all p j =
   (not j.pc_set || p Cell.Pc j.pc)
@@ -134,28 +175,7 @@ let for_all p j =
           ok := false
       done;
       !ok)
-  && (let ok = ref true in
-      for k = 0 to j.mem_n - 1 do
-        if !ok then begin
-          let a = Array.unsafe_get j.mem_order k in
-          if not (p (Cell.mem a) (mem_value j a)) then ok := false
-        end
-      done;
-      !ok)
-
-(* a journal that never rebinds (every reads journal: first-reads only)
-   answers from the flat log, without re-hashing a single address *)
-let for_all_mem p j =
-  let ok = ref true and k = ref 0 in
-  while !ok && !k < j.mem_n do
-    let a = Array.unsafe_get j.mem_order !k in
-    let v =
-      if j.rebound then mem_value j a else Array.unsafe_get j.mem_first !k
-    in
-    if not (p a v) then ok := false;
-    incr k
-  done;
-  !ok
+  && for_all_mem (fun a v -> p (Cell.mem a) v) j
 
 let to_fragment j =
   let f = ref Fragment.empty in

@@ -2,27 +2,31 @@
 
     A journal is the hot-loop counterpart of {!Mssp_state.Fragment.t}: a
     slave instruction resolves registers and the PC by direct array/flag
-    access and memory by one hashtable probe, instead of paying a
-    balanced-tree lookup per cell. Tasks keep the PC and register part of
-    their live-in prediction, their recorded reads and their buffered
-    writes in journals while running, and convert to fragments only at
-    the commit boundary (or for tests and diagnostics).
+    access and memory by one open-addressed probe, instead of paying a
+    balanced-tree lookup per cell. Memory bindings sit in a flat
+    insertion-order log (address, current value) with an index of log
+    positions over it, so probing, binding and rebinding allocate nothing
+    once the log has grown to the task's footprint. Tasks keep the PC and
+    register part of their live-in prediction, their recorded reads and
+    their buffered writes in journals while running, and convert to
+    fragments only for tests and diagnostics.
 
-    {b Iteration order is a contract.} Memory bindings carry an
-    insertion-order log alongside the hashtable, and {!iter}/{!for_all}
-    walk it in first-binding order (after [Pc] and the registers in
-    index order). For a reads journal that log {e is} the staged
-    first-read stream: verification, squash attribution and predictor
-    training replay the task's first-reads in serial first-read order,
-    no matter whether the per-instruction interpreter or the block
-    engine staged them, and no matter the table's capacity — which is
-    what makes [mem_size] pre-sizing invisible. *)
+    {b Iteration order is a contract.} {!iter}/{!for_all} walk [Pc],
+    then the registers in index order, then memory in first-binding
+    order — the log's order. For a reads journal that log {e is} the
+    staged first-read stream: verification, squash attribution and
+    predictor training replay the task's first-reads in serial
+    first-read order, no matter whether the per-instruction interpreter
+    or the block engine staged them, and no matter the log's capacity —
+    which is what makes [mem_size] pre-sizing invisible. *)
 
 type t
 
 val create : ?mem_size:int -> unit -> t
-(** Empty journal; [mem_size] pre-sizes the memory table (capacity only
-    — the iteration order above never depends on it). *)
+(** Empty journal whose memory log takes [mem_size] (default 8)
+    bindings without growing; any value is accepted (the index is
+    rounded up to a power of two). Capacity only: the log doubles on
+    demand, and the iteration order above never depends on it. *)
 
 (* fine-grained accessors — the executor's per-cell fast path *)
 
@@ -42,19 +46,28 @@ val reg : t -> int -> int
     [has_reg j i]. *)
 
 val set_reg : t -> int -> int -> unit
+
+val mem_pos : t -> int -> int
+(** [mem_pos j a] is the log position of address [a], or [-1] when [a]
+    is unbound. Allocation-free; read the value with {!mem_value}. *)
+
+val mem_value : t -> int -> int
+(** [mem_value j p]: current value at log position [p] (from
+    {!mem_pos}, valid until the next binding). *)
+
 val find_mem : t -> int -> int option
 
 val set_mem : t -> int -> int -> unit
 (** Bind or rebind a memory cell; a fresh address is appended to the
-    insertion-order log. *)
+    insertion-order log, a rebind keeps its log position. *)
 
 (* the batched read-set interface — the block engine's staging path *)
 
 val record_mem : t -> int -> int -> unit
-(** [record_mem j a v] stages a {e fresh} first-read binding: appends
-    [a] to the log and adds it to the table without the rebind probe
-    {!set_mem} pays. The caller guarantees [find_mem j a = None] (block
-    dispatch has just probed); violating that duplicates the binding. *)
+(** [record_mem j a v] stages a first-read: binds [a] to [v] unless [a]
+    is already bound, in which case the earlier binding — the first
+    read — stands and nothing changes. One probe; the caller needs no
+    [find_mem] beforehand. *)
 
 val mem_avoids : t -> lo:int -> hi:int -> bool
 (** [mem_avoids j ~lo ~hi] is [true] when no memory binding lies in
@@ -70,17 +83,24 @@ val find : t -> Mssp_state.Cell.t -> int option
 val mem : t -> Mssp_state.Cell.t -> bool
 val cardinal : t -> int
 
+val mem_count : t -> int
+(** Number of memory bindings (the log's length). *)
+
 val iter : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** [Pc] first, registers in index order, then memory in first-binding
     order — the serial first-read replay order for a reads journal. *)
+
+val iter_mem : (int -> int -> unit) -> t -> unit
+(** [iter_mem f j] calls [f a v] for every memory binding in
+    first-binding order — the memory part of {!iter}, with no cell
+    boxed. *)
 
 val for_all : (Mssp_state.Cell.t -> int -> bool) -> t -> bool
 (** Same order as {!iter}. *)
 
 val for_all_mem : (int -> int -> bool) -> t -> bool
 (** [for_all_mem p j]: [p a v] holds for every memory binding, walked in
-    first-binding order — the memory part of {!for_all}, with no cell
-    boxed. A journal whose bindings were never replaced (any reads
-    journal) answers straight off its flat log, with no table probe. *)
+    first-binding order and stopping at the first failure — the memory
+    part of {!for_all}, with no cell boxed. *)
 
 val to_fragment : t -> Mssp_state.Fragment.t

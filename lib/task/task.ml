@@ -46,7 +46,8 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
-let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
+let make ?reads_size ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
+    () =
   let live_in =
     if Fragment.mem Cell.Pc live_in then live_in
     else Fragment.add Cell.Pc start_pc live_in
@@ -56,7 +57,7 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
      last seed: it is probed in place, never copied. Only the PC and the
      registers — at most 32 cells, the smallest keys — are flattened
      into [li] for the per-instruction fast path. *)
-  let li = Journal.create ~mem_size:1 () in
+  let li = Journal.create ~mem_size:0 () in
   Fragment.iter_pc_regs (Journal.set li) live_in;
   let live_in_lo, live_in_hi =
     match Fragment.mem_bounds live_in with
@@ -74,27 +75,27 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     li;
     live_in_lo;
     live_in_hi;
-    reads = Journal.create ();
+    reads = Journal.create ?mem_size:reads_size ();
     writes = Journal.create ();
     executed = 0;
     status = Running;
     decode = Exec.default_decode;
   }
 
-(* memory live-in probe: [c] is the caller's [Cell.Mem a], and the
-   fragment is consulted only inside its address bounds *)
-let find_live_in_mem t c a =
+(* memory live-in probe: the fragment is consulted (and a cell boxed)
+   only inside its address bounds *)
+let find_live_in_mem t a =
   if a < t.live_in_lo || a > t.live_in_hi then None
-  else Fragment.find_opt c t.live_in
+  else Fragment.find_opt (Cell.Mem a) t.live_in
 
 let find_live_in t c =
   match c with
   | Cell.Pc | Cell.Reg _ -> Journal.find t.li c
-  | Cell.Mem a -> find_live_in_mem t c a
+  | Cell.Mem a -> find_live_in_mem t a
 
 let with_decode decode t = { t with decode }
 
-type view = Isolated | Fallback of (Cell.t -> int)
+type view = Isolated | Fallback of Full.t
 
 let no_access (_ : int) = ()
 
@@ -123,7 +124,7 @@ let make_ctx ?(on_access = no_access) t view =
       else (
         match view with
         | Fallback arch ->
-          let v = arch c in
+          let v = Full.get_reg arch r in
           if not (Journal.has_reg t.reads i) then Journal.set_reg t.reads i v;
           Some v
         | Isolated -> None)
@@ -137,7 +138,7 @@ let make_ctx ?(on_access = no_access) t view =
       else (
         match view with
         | Fallback arch ->
-          let v = arch c in
+          let v = Full.pc arch in
           if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
           Some v
         | Isolated -> None)
@@ -148,18 +149,17 @@ let make_ctx ?(on_access = no_access) t view =
       | Some _ as r -> r
       | None ->
         let v =
-          match find_live_in_mem t c a with
+          match find_live_in_mem t a with
           | Some v -> v
           | None -> (
             match view with
-            | Fallback arch -> arch c
+            | Fallback arch -> Full.get_mem arch a
             | Isolated ->
               (* memory is total: absent cells read as 0 and that
                  reading is itself a live-in to verify *)
               0)
         in
-        if Journal.find_mem t.reads a = None then
-          Journal.record_mem t.reads a v;
+        Journal.record_mem t.reads a v;
         Some v)
   in
   let write c v =
@@ -224,16 +224,27 @@ let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
    closure-dispatched [Exec.step_with], three journal probes and two
    option allocations for the PC, and three to four more probes for the
    fetch. The block path below runs the task body from a {!Spec} cache
-   of pre-decoded straight-line regions instead: the PC lives in a loop
-   index and is flushed to the write journal once at block exit, bound
-   cells resolve straight off the journal fast arrays, and a block's
-   unbound fetches are staged as first-reads into the reads journal's
-   insertion-order log — the [s_covered] watermark skips even the
-   staging probes on re-dispatch. The observable contract is
+   of pre-decoded straight-line regions instead: the PC lives in the
+   block index and is flushed to the write journal once at block exit,
+   bound cells resolve straight off the journal fast arrays, and a
+   block's unbound fetches are staged as first-reads into the reads
+   journal's insertion-order log — the [s_covered] watermark skips even
+   the staging probes on re-dispatch. The observable contract is
    bit-identity with the interpreter: same status, same [executed], same
    write buffer, same [on_access] sequence, and a first-read stream
    identical in content and order (the differential suite and the SJRNLG
    bench guard enforce this, like PR 6's SBLKG does for the master).
+
+   Like the master's step, the executor is closure-free: every helper is
+   a top-level function, and the loop state (block, index, limit) rides
+   in tail-call arguments, so a dispatch allocates nothing. Dispatch
+   always enters a block at index 0, so at index [i] exactly [i] of its
+   instructions have retired. Reads resolve write buffer, then the
+   task's own recorded first-read, then live-in, then architected state:
+   neither of the last two changes while a task body runs (the
+   checkpoint is immutable and architected state is frozen during
+   dispatch), so a recorded first-read is the value either would give
+   again, and a repeated read costs two flat probes.
 
    The cache is meant to be SHARED across the task runs of one slave
    (the machine passes [?engine] and keeps one per slave): MSSP tasks
@@ -256,259 +267,242 @@ let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
    The fallback ladder is the interpreter itself, one instruction at a
    time, exactly where the master engine falls back: entry at a word
    that does not decode (the fault probe), entry in the I/O region, and
-   a [Ld]/[St] whose operand address turns out speculative-I/O — the
-   block is left *before* the instruction, so the slow path replays it
-   with the interpreter's exact latch-and-fail behaviour. A store that
+   shadowed spans. A [Ld]/[St]/[Out] whose data address turns out
+   speculative-I/O is finished in the block with the interpreter's
+   exact latch-and-fail behaviour ([block_io_fail]). A store that
    invalidates cached blocks ([Spec.note_store]) forces block exit after
    the store, the PR 6 SMC rule. Isolated-view tasks stay entirely on
    the interpreter: their reads can be [Missing], which only the
    single-step path models. *)
 
-let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
-  (* the cache outlives task runs; a block first dispatched by this run
-     carries a stale watermark from its previous owner *)
-  if b.Spec.s_cover_gen <> gen then begin
-    b.Spec.s_cover_gen <- gen;
-    b.Spec.s_covered <- 0
-  end;
-  let instrs = b.Spec.s_instrs in
-  let words = b.Spec.s_words in
-  let lives = b.Spec.s_live in
-  let len = Array.length instrs in
-  let base = b.Spec.s_start in
-  let remaining = t.budget - t.executed in
-  let lim = if remaining < len then remaining else len in
-  let i = ref 0 in
-  let retired = ref 0 in
-  let running = ref true in
-  (* flush-once control state: retirements and the PC land in the task
-     at block exit, not per instruction *)
-  let flush () = t.executed <- t.executed + !retired in
-  let sync_pc pc = if !retired > 0 then Journal.set_pc t.writes pc in
-  let leave np =
-    flush ();
-    sync_pc np;
-    running := false
-  in
-  (* fetch: charged on every execution; staged as a first-read only past
-     the covered watermark, and only when the word resolved outside the
-     write buffer at build time (stores since then would have dropped
-     the block, so the provenance cannot be stale) *)
-  let fetch_at i pc =
-    on_access pc;
-    if i >= b.Spec.s_covered then begin
-      if
-        Array.unsafe_get lives i
-        && Journal.find_mem t.reads pc = None
-      then Journal.record_mem t.reads pc (Array.unsafe_get words i);
-      b.Spec.s_covered <- i + 1
-    end
-  in
-  let read_reg r =
-    if Reg.equal r Reg.zero then 0
-    else begin
-      let k = Reg.to_int r in
-      if Journal.has_reg t.writes k then Journal.reg t.writes k
-      else if Journal.has_reg t.li k then begin
-        let v = Journal.reg t.li k in
-        if not (Journal.has_reg t.reads k) then Journal.set_reg t.reads k v;
-        v
-      end
-      else begin
-        let v = arch (Cell.Reg r) in
-        if not (Journal.has_reg t.reads k) then Journal.set_reg t.reads k v;
-        v
-      end
-    end
-  in
-  let write_reg r v =
-    if not (Reg.equal r Reg.zero) then Journal.set_reg t.writes (Reg.to_int r) v
-  in
-  (* data read, address already known non-I/O *)
-  let read_mem a =
-    on_access a;
-    match Journal.find_mem t.writes a with
-    | Some v -> v
-    | None ->
-      let c = Cell.mem a in
-      let v =
-        match find_live_in_mem t c a with Some v -> v | None -> arch c
-      in
-      if Journal.find_mem t.reads a = None then Journal.record_mem t.reads a v;
-      v
-  in
-  (* data write, address already known non-I/O; [true] forces block exit
-     (the store dropped cached blocks — this one may be stale) *)
-  let write_mem a v =
-    on_access a;
-    Journal.set_mem t.writes a v;
-    Spec.note_store eng a
-  in
-  (* retirement: the boundary check runs on every retired instruction's
-     successor PC, exactly like the interpreter's post-step check *)
-  let retire np forced =
-    incr retired;
-    let complete =
-      match t.end_pc with
-      | Some e when np = e ->
-        t.end_seen <- t.end_seen + 1;
-        t.end_seen >= t.end_occurrence
-      | _ -> false
+let block_read_reg t arch r =
+  let k = Reg.to_int r in
+  if k = 0 then 0
+  else if Journal.has_reg t.writes k then Journal.reg t.writes k
+  else if Journal.has_reg t.reads k then Journal.reg t.reads k
+  else begin
+    let v =
+      if Journal.has_reg t.li k then Journal.reg t.li k
+      else Full.get_reg arch r
     in
-    if complete then begin
-      t.status <- Complete Reached_boundary;
-      leave np
-    end
-    else if (not forced) && np = base + !i + 1 && !i + 1 < lim then incr i
-    else leave np
-  in
-  (* a speculative I/O touch: complete the instruction into the write
-     buffer with the interpreter's exact latch semantics, then fail the
-     task without retiring it ([executed] unchanged) — bit-for-bit the
-     single-step [Io_speculative] path *)
-  let io_fail cell pc =
-    flush ();
-    Journal.set_pc t.writes (pc + 1);
-    t.status <- Failed (Io_speculative cell);
-    running := false
-  in
-  while !running && !i < lim do
-    let pc = base + !i in
-    match Array.unsafe_get instrs !i with
-    | Instr.Nop | Instr.Fork _ ->
-      fetch_at !i pc;
-      retire (pc + 1) false
-    | Instr.Alu (op, rd, rs1, rs2) ->
-      fetch_at !i pc;
-      write_reg rd (Instr.eval_alu op (read_reg rs1) (read_reg rs2));
-      retire (pc + 1) false
-    | Instr.Alui (op, rd, rs1, imm) ->
-      fetch_at !i pc;
-      write_reg rd (Instr.eval_alu op (read_reg rs1) imm);
-      retire (pc + 1) false
-    | Instr.Li (rd, imm) ->
-      fetch_at !i pc;
-      write_reg rd imm;
-      retire (pc + 1) false
-    | Instr.Ld (rd, rs1, off) ->
-      let a = read_reg rs1 + off in
-      fetch_at !i pc;
-      let v = read_mem a in
-      write_reg rd v;
-      if Layout.is_io a then io_fail (Cell.mem a) pc
-      else retire (pc + 1) false
-    | Instr.St (rs2, rs1, off) ->
-      let a = read_reg rs1 + off in
-      fetch_at !i pc;
-      let v = read_reg rs2 in
-      if Layout.is_io a then begin
-        on_access a;
-        Journal.set_mem t.writes a v;
-        io_fail (Cell.mem a) pc
-      end
-      else retire (pc + 1) (write_mem a v)
-    | Instr.Br (c, rs1, rs2, off) ->
-      fetch_at !i pc;
-      let taken = Instr.eval_cmp c (read_reg rs1) (read_reg rs2) in
-      retire (if taken then pc + off else pc + 1) false
-    | Instr.Jmp off ->
-      fetch_at !i pc;
-      retire (pc + off) false
-    | Instr.Jal (rd, off) ->
-      fetch_at !i pc;
-      write_reg rd (pc + 1);
-      retire (pc + off) false
-    | Instr.Jr rs ->
-      fetch_at !i pc;
-      retire (read_reg rs) false
-    | Instr.Jalr (rd, rs) ->
-      fetch_at !i pc;
-      let target = read_reg rs in
-      write_reg rd (pc + 1);
-      retire target false
-    | Instr.Out rs ->
-      (* mirrors [Exec]: count read, data write, count write — with the
-         interpreter's latch semantics if the data slot lands in I/O
-         (the instruction completes into the write buffer, then the
-         task fails without retiring it) *)
-      fetch_at !i pc;
-      let v = read_reg rs in
-      let count = read_mem Layout.out_count_addr in
-      let slot = Layout.out_base + count in
-      if Layout.is_io slot then begin
-        on_access slot;
-        Journal.set_mem t.writes slot v;
-        on_access Layout.out_count_addr;
-        Journal.set_mem t.writes Layout.out_count_addr (count + 1);
-        io_fail (Cell.mem slot) pc
-      end
-      else begin
-        let inv1 = write_mem slot v in
-        let inv2 = write_mem Layout.out_count_addr (count + 1) in
-        retire (pc + 1) (inv1 || inv2)
-      end
-    | Instr.Halt ->
-      (* fetched but never retired, like the interpreter's fixed point;
-         the write-buffer PC already names this address unless nothing
-         retired yet this dispatch *)
-      fetch_at !i pc;
-      flush ();
-      if t.executed > 0 then Journal.set_pc t.writes pc;
-      t.status <- Complete Program_halted;
-      running := false
-  done;
-  if !running then begin
-    (* out of budget mid-block: [0, !i) retired sequentially *)
-    flush ();
-    sync_pc (base + !i)
+    Journal.set_reg t.reads k v;
+    v
   end
 
-let run_block_journal ~on_access ?engine t arch ctx =
-  let eng =
-    match engine with
-    | Some e -> e
-    | None -> Spec.create ~decode:t.decode ()
+let block_write_reg t r v =
+  let k = Reg.to_int r in
+  if k <> 0 then Journal.set_reg t.writes k v
+
+(* data read, I/O already latched or ruled out by the caller *)
+let block_read_mem t on_access arch a =
+  on_access a;
+  let p = Journal.mem_pos t.writes a in
+  if p >= 0 then Journal.mem_value t.writes p
+  else
+    let p = Journal.mem_pos t.reads a in
+    if p >= 0 then Journal.mem_value t.reads p
+    else begin
+      let v =
+        match find_live_in_mem t a with
+        | Some v -> v
+        | None -> Full.get_mem arch a
+      in
+      Journal.record_mem t.reads a v;
+      v
+    end
+
+(* data write into the buffer; [true] when the store dropped cached
+   blocks (this one may be stale) and the block must be left *)
+let block_write_mem t on_access eng a v =
+  on_access a;
+  Journal.set_mem t.writes a v;
+  Spec.note_store eng a
+
+(* fetch: charged on every execution; staged as a first-read only past
+   the covered watermark, and only when the word resolved outside the
+   write buffer at build time (stores since then would have dropped the
+   block, so the provenance cannot be stale) *)
+let block_fetch t on_access (b : Spec.sblock) i pc =
+  on_access pc;
+  if i >= b.Spec.s_covered then begin
+    if Array.unsafe_get b.Spec.s_live i then
+      Journal.record_mem t.reads pc (Array.unsafe_get b.Spec.s_words i);
+    b.Spec.s_covered <- i + 1
+  end
+
+(* block exit: the retirements and the PC land in the task once *)
+let block_leave t retired np =
+  t.executed <- t.executed + retired;
+  if retired > 0 then Journal.set_pc t.writes np
+
+(* a speculative I/O touch at index [i]: the instruction has completed
+   into the write buffer with the interpreter's exact latch semantics;
+   fail the task without retiring it ([executed] counts only [0, i)) —
+   bit-for-bit the single-step [Io_speculative] path *)
+let block_io_fail t i a pc =
+  t.executed <- t.executed + i;
+  Journal.set_pc t.writes (pc + 1);
+  t.status <- Failed (Io_speculative (Cell.mem a))
+
+let rec block_exec t on_access arch eng (b : Spec.sblock) lim i =
+  let pc = b.Spec.s_start + i in
+  match Array.unsafe_get b.Spec.s_instrs i with
+  | Instr.Nop | Instr.Fork _ ->
+    block_fetch t on_access b i pc;
+    block_retire t on_access arch eng b lim i (pc + 1) false
+  | Instr.Alu (op, rd, rs1, rs2) ->
+    block_fetch t on_access b i pc;
+    let v1 = block_read_reg t arch rs1 in
+    block_write_reg t rd (Instr.eval_alu op v1 (block_read_reg t arch rs2));
+    block_retire t on_access arch eng b lim i (pc + 1) false
+  | Instr.Alui (op, rd, rs1, imm) ->
+    block_fetch t on_access b i pc;
+    block_write_reg t rd (Instr.eval_alu op (block_read_reg t arch rs1) imm);
+    block_retire t on_access arch eng b lim i (pc + 1) false
+  | Instr.Li (rd, imm) ->
+    block_fetch t on_access b i pc;
+    block_write_reg t rd imm;
+    block_retire t on_access arch eng b lim i (pc + 1) false
+  | Instr.Ld (rd, rs1, off) ->
+    let a = block_read_reg t arch rs1 + off in
+    block_fetch t on_access b i pc;
+    block_write_reg t rd (block_read_mem t on_access arch a);
+    if Layout.is_io a then block_io_fail t i a pc
+    else block_retire t on_access arch eng b lim i (pc + 1) false
+  | Instr.St (rs2, rs1, off) ->
+    let a = block_read_reg t arch rs1 + off in
+    block_fetch t on_access b i pc;
+    let v = block_read_reg t arch rs2 in
+    if Layout.is_io a then begin
+      on_access a;
+      Journal.set_mem t.writes a v;
+      block_io_fail t i a pc
+    end
+    else
+      block_retire t on_access arch eng b lim i (pc + 1)
+        (block_write_mem t on_access eng a v)
+  | Instr.Br (c, rs1, rs2, off) ->
+    block_fetch t on_access b i pc;
+    let v1 = block_read_reg t arch rs1 in
+    let taken = Instr.eval_cmp c v1 (block_read_reg t arch rs2) in
+    block_retire t on_access arch eng b lim i
+      (if taken then pc + off else pc + 1)
+      false
+  | Instr.Jmp off ->
+    block_fetch t on_access b i pc;
+    block_retire t on_access arch eng b lim i (pc + off) false
+  | Instr.Jal (rd, off) ->
+    block_fetch t on_access b i pc;
+    block_write_reg t rd (pc + 1);
+    block_retire t on_access arch eng b lim i (pc + off) false
+  | Instr.Jr rs ->
+    block_fetch t on_access b i pc;
+    let target = block_read_reg t arch rs in
+    block_retire t on_access arch eng b lim i target false
+  | Instr.Jalr (rd, rs) ->
+    block_fetch t on_access b i pc;
+    let target = block_read_reg t arch rs in
+    block_write_reg t rd (pc + 1);
+    block_retire t on_access arch eng b lim i target false
+  | Instr.Out rs ->
+    (* mirrors [Exec]: count read, data write, count write — with the
+       interpreter's latch semantics if the data slot lands in I/O (the
+       instruction completes into the write buffer, then the task fails
+       without retiring it) *)
+    block_fetch t on_access b i pc;
+    let v = block_read_reg t arch rs in
+    let count = block_read_mem t on_access arch Layout.out_count_addr in
+    let slot = Layout.out_base + count in
+    if Layout.is_io slot then begin
+      on_access slot;
+      Journal.set_mem t.writes slot v;
+      on_access Layout.out_count_addr;
+      Journal.set_mem t.writes Layout.out_count_addr (count + 1);
+      block_io_fail t i slot pc
+    end
+    else begin
+      let inv1 = block_write_mem t on_access eng slot v in
+      let inv2 =
+        block_write_mem t on_access eng Layout.out_count_addr (count + 1)
+      in
+      block_retire t on_access arch eng b lim i (pc + 1) (inv1 || inv2)
+    end
+  | Instr.Halt ->
+    (* fetched but never retired, like the interpreter's fixed point;
+       the write-buffer PC already names this address unless nothing
+       retired yet this dispatch *)
+    block_fetch t on_access b i pc;
+    t.executed <- t.executed + i;
+    if t.executed > 0 then Journal.set_pc t.writes pc;
+    t.status <- Complete Program_halted
+
+(* retirement of index [i] with successor [np]: the boundary check runs
+   on every retired instruction's successor PC, exactly like the
+   interpreter's post-step check; execution stays in the block only on
+   a fall-through inside [lim] (the block length capped by the budget) *)
+and block_retire t on_access arch eng b lim i np forced =
+  let complete =
+    match t.end_pc with
+    | Some e when np = e ->
+      t.end_seen <- t.end_seen + 1;
+      t.end_seen >= t.end_occurrence
+    | _ -> false
   in
-  let gen = Spec.new_run eng in
-  (* build-time fetch resolution: architected words only (no staging,
-     access traffic or the I/O latch — all charged at execution time).
-     Words bound in the write buffer or the live-in must not be baked
-     into a shareable block; the [shadowed] probe keeps any span they
-     could cover off this path. *)
-  let peek a =
-    if Layout.is_io a then None else Some (arch (Cell.mem a), true)
-  in
-  let shadowed b =
-    let lo = b.Spec.s_start in
-    let hi = lo + Array.length b.Spec.s_instrs - 1 in
-    not
-      (Journal.mem_avoids t.writes ~lo ~hi
-      && (t.live_in_hi < lo || t.live_in_lo > hi))
-  in
-  let rec go () =
-    match t.status with
-    | (Complete _ | Failed _) as s -> s
-    | Running ->
-      if t.executed >= t.budget then begin
-        t.status <- Failed Budget_exhausted;
-        t.status
-      end
-      else begin
-        (* the dispatch PC resolves (and stages) through the ordinary
-           read path — one probe per block, not per instruction *)
-        match ctx.c_read Cell.Pc with
-        | None -> single_step ()
-        | Some pc -> (
-          match Spec.lookup_or_build eng ~fetch:peek pc with
-          | Some b when not (shadowed b) ->
-            exec_spec_block t ~on_access arch eng ~gen b;
-            go ()
-          | Some _ | None -> single_step ())
-      end
-  and single_step () =
-    match step_ctx t ctx with Running -> go () | s -> s
-  in
-  go ()
+  if complete then begin
+    t.status <- Complete Reached_boundary;
+    block_leave t (i + 1) np
+  end
+  else if (not forced) && np = b.Spec.s_start + i + 1 && i + 1 < lim then
+    block_exec t on_access arch eng b lim (i + 1)
+  else block_leave t (i + 1) np
+
+(* the dispatch PC: the interpreter's [Pc] read without its option —
+   the write buffer's, else the live-in's (staged as a first-read) *)
+let dispatch_pc t arch =
+  if Journal.has_pc t.writes then Journal.pc_value t.writes
+  else begin
+    let v =
+      if Journal.has_pc t.li then Journal.pc_value t.li else Full.pc arch
+    in
+    if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
+    v
+  end
+
+(* could the task's write buffer or live-in bind a word of [b]'s span?
+   Cached blocks hold architected words; such a span runs single-step *)
+let shadowed t (b : Spec.sblock) =
+  let lo = b.Spec.s_start in
+  let hi = lo + Array.length b.Spec.s_instrs - 1 in
+  not
+    (Journal.mem_avoids t.writes ~lo ~hi
+    && (t.live_in_hi < lo || t.live_in_lo > hi))
+
+let rec block_dispatch t on_access arch eng gen peek =
+  match t.status with
+  | (Complete _ | Failed _) as s -> s
+  | Running ->
+    if t.executed >= t.budget then begin
+      t.status <- Failed Budget_exhausted;
+      t.status
+    end
+    else begin
+      (match Spec.lookup_or_build eng ~fetch:peek (dispatch_pc t arch) with
+      | Some b when not (shadowed t b) ->
+        (* the cache outlives task runs; a block first dispatched by
+           this run carries a stale watermark from its previous owner *)
+        if b.Spec.s_cover_gen <> gen then begin
+          b.Spec.s_cover_gen <- gen;
+          b.Spec.s_covered <- 0
+        end;
+        let len = Array.length b.Spec.s_instrs in
+        let remaining = t.budget - t.executed in
+        block_exec t on_access arch eng b
+          (if remaining < len then remaining else len)
+          0
+      | Some _ | None ->
+        ignore (step ~on_access t (Fallback arch) : status));
+      block_dispatch t on_access arch eng gen peek
+    end
 
 let run_reference ?(on_access = no_access) t view =
   let ctx = make_ctx ~on_access t view in
@@ -518,7 +512,20 @@ let run_reference ?(on_access = no_access) t view =
 let run ?(on_access = no_access) ?engine t view =
   match view with
   | Fallback arch ->
-    run_block_journal ~on_access ?engine t arch (make_ctx ~on_access t view)
+    let eng =
+      match engine with
+      | Some e -> e
+      | None -> Spec.create ~decode:t.decode ()
+    in
+    (* build-time fetch resolution: architected words only (no staging,
+       access traffic or the I/O latch — all charged at execution
+       time). Words bound in the write buffer or the live-in must not
+       be baked into a shareable block; the [shadowed] probe keeps any
+       span they could cover off this path. *)
+    let peek a =
+      if Layout.is_io a then None else Some (Full.get_mem arch a, true)
+    in
+    block_dispatch t on_access arch eng (Spec.new_run eng) peek
   | Isolated -> run_reference ~on_access t view
 
 let live_in_size t = Journal.cardinal t.reads
@@ -554,10 +561,20 @@ let first_inconsistent t arch =
     None
   with Found (c, predicted, actual) -> Some (c, predicted, actual)
 
-(* the commit operation [S <- live_out(t)], straight from the journal *)
-let commit_into t arch = Journal.iter (fun c v -> Full.set arch c v) t.writes
+(* the commit operation [S <- live_out(t)], straight off the write
+   journal's layout — PC flag, register mask, memory log — in journal
+   order, with no cell boxed *)
+let commit_into t arch =
+  let w = t.writes in
+  if Journal.has_pc w then Full.set_pc arch (Journal.pc_value w);
+  for i = 0 to Reg.count - 1 do
+    if Journal.has_reg w i then
+      Full.set_reg arch (Reg.of_int i) (Journal.reg w i)
+  done;
+  Journal.iter_mem (Full.set_mem arch) w
 
 let iter_writes f t = Journal.iter f t.writes
+let iter_mem_writes f t = Journal.iter_mem f t.writes
 let iter_reads f t = Journal.iter f t.reads
 
 let pp fmt t =

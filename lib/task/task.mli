@@ -17,10 +17,11 @@
     [next].
 
     While running, the prediction, the recordings and the write buffer
-    live in flat {!Journal.t} buffers (register arrays + one memory
-    hashtable), so an instruction pays no balanced-tree lookups; use
-    {!reads_fragment}/{!writes_fragment} to convert at the commit
-    boundary or in tests. *)
+    live in flat {!Journal.t} buffers (register arrays + an
+    open-addressed memory log), so an instruction pays no balanced-tree
+    lookups and boxes no cell; verify and commit walk the journals in
+    place, and {!reads_fragment}/{!writes_fragment} convert for tests
+    and tools. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -79,18 +80,26 @@ type t = {
 }
 
 val make :
+  ?reads_size:int ->
   id:int ->
   start_pc:int ->
   end_pc:int option ->
   end_occurrence:int ->
   budget:int ->
   live_in:Mssp_state.Fragment.t ->
+  unit ->
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
     start position is itself a live-in and is verified like any other.
     [O(registers + log |live_in|)]: only the [Pc] and register bindings
-    are copied, and [live_in] itself is kept by reference. *)
+    are copied, and [live_in] itself is kept by reference.
+
+    [reads_size] pre-sizes the first-read journal ({!Journal.create}'s
+    [mem_size]); the machine passes the memory first-read count of the
+    same slave's previous task, so a task body that reads hundreds of
+    cells does not re-grow its log from the default. Capacity only: nothing
+    observable depends on it. *)
 
 val find_live_in : t -> Mssp_state.Cell.t -> int option
 (** The live-in prediction for a cell as the executors resolve it: [Pc]
@@ -116,16 +125,21 @@ type view =
       (** absent memory cells read as 0 (memory is total); the abstract
           model of the companion paper, where slaves see only master
           data *)
-  | Fallback of (Mssp_state.Cell.t -> int)
-      (** read through to architected state (the MICRO'02 machine); the
-          obtained value is recorded and verified at commit *)
+  | Fallback of Mssp_state.Full.t
+      (** read through to this architected state (the MICRO'02
+          machine) with {!Mssp_state.Full.get_reg}/{!Mssp_state.Full.get_mem},
+          no cell boxed; the obtained value is recorded and verified at
+          commit. The state must not change while a task body runs: the
+          block executor answers a repeated read from the task's
+          recorded first-read *)
 
 val step : ?on_access:(int -> unit) -> t -> view -> status
 (** Execute one instruction. No-op unless [Running]. [on_access] is
     invoked with the address of every memory word touched (fetch, loads,
     stores) — the hook the timing model's caches observe.
-    Single-stepping rebuilds the executor callbacks each call; {!run}
-    hoists them out of the loop. *)
+    Single-stepping rebuilds the executor callbacks each call;
+    {!run_reference} hoists them out of the loop, and {!run}'s block rung
+    needs none. *)
 
 val run :
   ?on_access:(int -> unit) ->
@@ -138,7 +152,9 @@ val run :
     interpreter. Blocks are pre-decoded through [t.decode] from
     architected words, bound cells resolve off the journal fast arrays,
     unbound cells are staged as first-reads, and the PC and retirement
-    count flush once per block exit. Everything observable — status,
+    count flush once per block exit. The block rung builds no closure
+    and boxes no cell outside the live-in fragment's probe. Everything
+    observable — status,
     [executed], the write buffer, the [on_access] sequence, and the
     first-read stream in content {e and} order — is bit-identical to
     {!run_reference}. The interpreter remains the fallback rung, entered
@@ -193,11 +209,17 @@ val commit_into : t -> Mssp_state.Full.t -> unit
 (** [commit_into t arch] superimposes the write buffer onto [arch] — the
     commit operation [S ← live_out(t)]. A caller keeping a superblock
     engine over [arch] must report the committed memory cells to it
-    ({!Mssp_seq.Sblock.note_store}); {!iter_writes} enumerates them
-    without allocating a fragment. *)
+    ({!Mssp_seq.Sblock.note_store}); {!iter_mem_writes} enumerates
+    them without boxing a cell. *)
 
 val iter_writes : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
-(** Iterate the write buffer in journal order (allocation-free). *)
+(** Iterate the write buffer in journal order (boxes one cell per
+    binding). *)
+
+val iter_mem_writes : (int -> int -> unit) -> t -> unit
+(** [iter_mem_writes f t] calls [f a v] for every buffered memory
+    write, in first-write order, with no cell boxed — the committed-store
+    notification path. *)
 
 val iter_reads : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** Iterate the first-read journal (the recorded live-in uses and the

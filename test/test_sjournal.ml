@@ -40,18 +40,18 @@ let load_arch p =
   s
 
 (* run one task body, collecting everything a caller can observe *)
-let run_task ~reference ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
-    ?(live_in = Fragment.empty) arch (p : Program.t) =
+let run_task ~reference ?engine ?reads_size ?(budget = 5_000) ?end_pc
+    ?(end_occurrence = 1) ?(live_in = Fragment.empty) arch (p : Program.t) =
   let t =
-    Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc ~end_occurrence ~budget
-      ~live_in
+    Task.make ?reads_size ~id:0 ~start_pc:p.Program.entry ~end_pc
+      ~end_occurrence ~budget ~live_in ()
   in
   let acc = ref [] in
   let on_access a = acc := a :: !acc in
-  let view = Task.Fallback (fun c -> Full.get arch c) in
+  let view = Task.Fallback arch in
   let status =
     if reference then Task.run_reference ~on_access t view
-    else Task.run ~on_access t view
+    else Task.run ~on_access ?engine t view
   in
   (status, t, List.rev !acc)
 
@@ -60,22 +60,19 @@ let journal_list iter t =
   iter (fun c v -> l := (c, v) :: !l) t;
   List.rev !l
 
-(* the whole observable surface, compared in order *)
-let same_task ?budget ?end_pc ?end_occurrence ?live_in p =
-  let arch = load_arch p in
-  let s_on, t_on, a_on =
-    run_task ~reference:false ?budget ?end_pc ?end_occurrence ?live_in arch
-      p
-  in
-  let s_off, t_off, a_off =
-    run_task ~reference:true ?budget ?end_pc ?end_occurrence ?live_in
-      arch p
-  in
+let same_observables (s_on, t_on, a_on) (s_off, t_off, a_off) =
   s_on = s_off
   && t_on.Task.executed = t_off.Task.executed
   && journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off
   && journal_list Task.iter_writes t_on = journal_list Task.iter_writes t_off
   && a_on = a_off
+
+(* the whole observable surface, compared in order *)
+let same_task ?budget ?end_pc ?end_occurrence ?live_in p =
+  let arch = load_arch p in
+  same_observables
+    (run_task ~reference:false ?budget ?end_pc ?end_occurrence ?live_in arch p)
+    (run_task ~reference:true ?budget ?end_pc ?end_occurrence ?live_in arch p)
 
 let assert_same_task ?budget ?end_pc ?end_occurrence ?live_in p =
   check "block journal = single-step" true
@@ -265,6 +262,63 @@ let test_fault_parity () =
     (journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off);
   check "same accesses" true (a_on = a_off)
 
+(* --- journal growth and the per-slave size hint ------------------------ *)
+
+(* a loop summing [n] words of a buffer (the count arrives in [t0], a
+   register live-in): each task stages [n] distinct data first-reads
+   plus its fetches *)
+let summing_loop =
+  let b = Dsl.create () in
+  let buf = Dsl.alloc b 1200 in
+  Dsl.label b "loop";
+  Dsl.ld b t1 t0 (buf - 1);
+  Dsl.alu b Instr.Add t2 t2 t1;
+  Dsl.alui b Instr.Sub t0 t0 1;
+  Dsl.br b Instr.Gt t0 zero "loop";
+  Dsl.out b t2;
+  Dsl.halt b;
+  Dsl.build b ()
+
+let count_live_in n = Fragment.singleton (Cell.Reg t0) n
+
+(* one task, more than 1,000 distinct first-reads: both executors grow
+   their reads journal through several doublings and must still agree
+   on every observable, the first-read stream's order included *)
+let test_thousand_first_reads () =
+  let live_in = count_live_in 1100 in
+  assert_same_task ~budget:10_000 ~live_in summing_loop;
+  let arch = load_arch summing_loop in
+  let _, t, _ =
+    run_task ~reference:false ~budget:10_000 ~live_in arch summing_loop
+  in
+  check "more than 1000 first-reads" true
+    (Mssp_task.Journal.mem_count t.Task.reads > 1000)
+
+(* small -> large -> small tasks on one persistent engine, each task's
+   reads journal sized from the previous task's first-read count, as the
+   machine sizes a slave's next task: the hint undershoots the large
+   task and overshoots the small one after it, and neither may show *)
+let test_size_hint_sequence () =
+  let arch = load_arch summing_loop in
+  let engine =
+    Mssp_seq.Sblock.Spec.create ~decode:Mssp_seq.Exec.default_decode ()
+  in
+  let hint = ref None in
+  List.iter
+    (fun n ->
+      let live_in = count_live_in n in
+      let ((_, t, _) as on) =
+        run_task ~reference:false ~engine ?reads_size:!hint ~budget:10_000
+          ~live_in arch summing_loop
+      in
+      let off =
+        run_task ~reference:true ~budget:10_000 ~live_in arch summing_loop
+      in
+      check (Printf.sprintf "%d-trip task = single-step" n) true
+        (same_observables on off);
+      hint := Some (Mssp_task.Journal.mem_count t.Task.reads))
+    [ 3; 1100; 3; 1100 ]
+
 (* --- property tests: fuzz programs, SMC boosted ------------------------ *)
 
 let program_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
@@ -415,5 +469,12 @@ let () =
           Alcotest.test_case "fault shape: squash replay identical" `Quick
             test_fault_shape_identical;
           Mssp_testkit.to_alcotest prop_pool_grid_identical;
+        ] );
+      ( "growth",
+        [
+          Alcotest.test_case "over 1000 first-reads in one task" `Quick
+            test_thousand_first_reads;
+          Alcotest.test_case "size hint small -> large -> small" `Quick
+            test_size_hint_sequence;
         ] );
     ]

@@ -25,7 +25,7 @@ let arch_of p =
   Full.load s p;
   s
 
-let fallback arch = Task.Fallback (fun c -> Full.get arch c)
+let fallback arch = Task.Fallback arch
 
 let simple_loop =
   build (fun b ->
@@ -39,7 +39,7 @@ let head = simple_loop.Mssp_isa.Program.entry
 
 let make_task ?(occurrence = 1) ?(budget = 1000) ~live_in ~end_pc () =
   Task.make ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
-    ~live_in
+    ~live_in ()
 
 let t0_cell = Cell.Reg t0
 let t1_cell = Cell.Reg t1
@@ -121,7 +121,7 @@ let test_isolated_missing_memory_reads_zero () =
   let live_in = Fragment.add Cell.Pc p.Mssp_isa.Program.entry (Full.snapshot full) in
   let task =
     Task.make ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in
+      ~end_occurrence:1 ~budget:10 ~live_in ()
   in
   check "halts" true (Task.run task Task.Isolated = Task.Complete Task.Program_halted);
   check "zero read recorded" true
@@ -140,7 +140,7 @@ let test_io_refusal () =
   let live_in = Fragment.singleton Cell.Pc p.Mssp_isa.Program.entry in
   let task =
     Task.make ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in
+      ~end_occurrence:1 ~budget:10 ~live_in ()
   in
   (match Task.run task (fallback arch) with
   | Task.Failed (Task.Io_speculative c) ->
@@ -156,7 +156,7 @@ let test_fault_reported () =
   let live_in = Fragment.singleton Cell.Pc 0 in
   let task =
     Task.make ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
-      ~live_in
+      ~live_in ()
   in
   match Task.run task (fallback arch) with
   | Task.Failed (Task.Fault _) -> ()
@@ -221,6 +221,55 @@ let test_make_cost_independent_of_live_in_memory () =
       w_small;
   check "the checkpoint is kept by reference" true
     ((make_task ~live_in:big ~end_pc:None ()).Task.live_in == big)
+
+(* A warm block-journaled run allocates no more than one minor word per
+   retired instruction, journal construction aside: the block rung
+   builds no closures and boxes no cells, and probes, first-read staging
+   and buffered stores go straight into flat journal arrays. The body
+   loops over loads, ALU work and a store, on a persistent engine whose
+   blocks an earlier run built; the measured task's reads journal is
+   sized from that run's first-read count, as the machine sizes a
+   slave's next task from its previous one. *)
+let looping_body =
+  build (fun b ->
+      let buf = Dsl.alloc b 48 in
+      Dsl.li b t0 40;
+      Dsl.label b "loop";
+      for k = 0 to 7 do
+        Dsl.ld b t1 t0 (buf + k);
+        Dsl.alui b Instr.Add t1 t1 3;
+        Dsl.alu b Instr.Add t2 t2 t1
+      done;
+      Dsl.st b t2 t0 buf;
+      Dsl.alui b Instr.Sub t0 t0 1;
+      Dsl.br b Instr.Gt t0 zero "loop";
+      Dsl.halt b)
+
+let test_warm_run_allocation () =
+  let arch = arch_of looping_body in
+  let view = fallback arch in
+  let engine =
+    Mssp_seq.Sblock.Spec.create ~decode:Mssp_seq.Exec.default_decode ()
+  in
+  let accesses = ref 0 in
+  let on_access _ = incr accesses in
+  let fresh ?reads_size () =
+    Task.make ?reads_size ~id:0 ~start_pc:looping_body.Mssp_isa.Program.entry
+      ~end_pc:None ~end_occurrence:1 ~budget:100_000 ~live_in:Fragment.empty ()
+  in
+  let warm = fresh () in
+  ignore (Task.run ~on_access ~engine warm view : Task.status);
+  let task = fresh ~reads_size:(Journal.mem_count warm.Task.reads) () in
+  let before = Gc.minor_words () in
+  let status = Task.run ~on_access ~engine task view in
+  let words = Gc.minor_words () -. before in
+  check "halts" true (status = Task.Complete Task.Program_halted);
+  check "retires at least 1000 instructions" true (task.Task.executed >= 1000);
+  let per_instr = words /. float_of_int task.Task.executed in
+  if per_instr > 1.0 then
+    Alcotest.failf
+      "warm Task.run: %.0f minor words over %d instructions (%.2f/instr)"
+      words task.Task.executed per_instr
 
 let arbitrary_checkpoint_and_probes =
   let open QCheck.Gen in
@@ -312,6 +361,105 @@ let prop_journal_set_find_matches_fragment =
            (fun a v -> Fragment.find_opt (Cell.mem a) f = Some v)
            j)
 
+(* --- the open-addressed memory index against a Fragment model: random
+   bind / stage / probe sequences long enough to grow the log past four
+   doublings, over addresses that are negative, beyond the 16M-word
+   paged span, and rebound, from capacity hints that are mostly not
+   powers of two --- *)
+
+type journal_op = Set_mem of int * int | Record_mem of int * int | Find of int
+
+let arbitrary_journal_run =
+  let open QCheck.Gen in
+  (* a pool of ~500 distinct addresses: dense small ones (rebinding),
+     negatives, and addresses past the paged span up to [max_int] *)
+  let addr =
+    frequency
+      [
+        (4, int_bound 255);
+        (2, map (fun a -> -1 - a) (int_bound 99));
+        (2, map (fun a -> (1 lsl 24) + (a * 4099)) (int_bound 99));
+        (1, oneofl [ max_int; min_int; 1 lsl 24; (1 lsl 24) - 1; -(1 lsl 24) ]);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun a v -> Set_mem (a, v)) addr small_int);
+        (3, map2 (fun a v -> Record_mem (a, v)) addr small_int);
+        (2, map (fun a -> Find a) addr);
+      ]
+  in
+  let show = function
+    | Set_mem (a, v) -> Printf.sprintf "set %d %d" a v
+    | Record_mem (a, v) -> Printf.sprintf "record %d %d" a v
+    | Find a -> Printf.sprintf "find %d" a
+  in
+  QCheck.make
+    ~print:(fun (hint, ops) ->
+      Printf.sprintf "mem_size %s: %s"
+        (match hint with Some n -> string_of_int n | None -> "default")
+        (String.concat "; " (List.map show ops)))
+    (pair (opt (int_bound 300)) (list_size (int_range 0 1200) op))
+
+let prop_journal_memory_matches_model =
+  QCheck.Test.make
+    ~name:"journal memory = fragment model (growth, rebinding, order)"
+    ~count:200 arbitrary_journal_run (fun (mem_size, ops) ->
+      let j = Journal.create ?mem_size () in
+      (* the model: values in a fragment, first-binding order in a list *)
+      let model = ref Fragment.empty and order = ref [] in
+      let bind a v ~first_wins =
+        let c = Cell.mem a in
+        if not (Fragment.mem c !model) then begin
+          order := a :: !order;
+          model := Fragment.add c v !model
+        end
+        else if not first_wins then model := Fragment.add c v !model
+      in
+      let probe_ok a =
+        let expected = Fragment.find_opt (Cell.mem a) !model in
+        Journal.find_mem j a = expected
+        &&
+        let p = Journal.mem_pos j a in
+        match expected with
+        | None -> p = -1
+        | Some v -> p >= 0 && Journal.mem_value j p = v
+      in
+      let steps_ok =
+        List.for_all
+          (function
+            | Set_mem (a, v) ->
+              Journal.set_mem j a v;
+              bind a v ~first_wins:false;
+              probe_ok a
+            | Record_mem (a, v) ->
+              Journal.record_mem j a v;
+              bind a v ~first_wins:true;
+              probe_ok a
+            | Find a -> probe_ok a)
+          ops
+      in
+      let expected =
+        List.rev_map
+          (fun a -> (a, Option.get (Fragment.find_opt (Cell.mem a) !model)))
+          !order
+      in
+      let walked = ref [] in
+      Journal.iter_mem (fun a v -> walked := (a, v) :: !walked) j;
+      let lo = List.fold_left (fun m (a, _) -> min m a) max_int expected
+      and hi = List.fold_left (fun m (a, _) -> max m a) min_int expected in
+      steps_ok
+      && List.rev !walked = expected
+      && Journal.mem_count j = List.length expected
+      && Journal.cardinal j = List.length expected
+      && Journal.for_all_mem
+           (fun a v -> Fragment.find_opt (Cell.mem a) !model = Some v)
+           j
+      && List.for_all (fun (a, _) -> probe_ok a) expected
+      && (expected = [] || not (Journal.mem_avoids j ~lo ~hi))
+      && (hi = max_int || Journal.mem_avoids j ~lo:(hi + 1) ~hi:max_int))
+
 (* the verification check walks the reads journal's own layout; it must
    answer exactly what a cell-by-cell walk answers, and agree with the
    mismatch witness, whichever recorded live-in architected state
@@ -325,7 +473,7 @@ let prop_live_ins_consistent_matches_cell_walk =
       let arch = arch_of p in
       let task =
         Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-          ~end_occurrence:1 ~budget ~live_in:Fragment.empty
+          ~end_occurrence:1 ~budget ~live_in:Fragment.empty ()
       in
       ignore (Task.run task (fallback arch) : Task.status);
       let agrees () =
@@ -358,7 +506,7 @@ let prop_task_matches_abstract_evolution =
       let task =
         Task.make ~id:0
           ~start_pc:(Option.get (Fragment.pc live_in))
-          ~end_pc:None ~end_occurrence:1 ~budget:n ~live_in
+          ~end_pc:None ~end_occurrence:1 ~budget:n ~live_in ()
       in
       let status = Task.run task Task.Isolated in
       let sim_result = Fragment.superimpose live_in (Task.writes_fragment task) in
@@ -400,11 +548,14 @@ let () =
           Alcotest.test_case "make cost independent of live-in memory" `Quick
             test_make_cost_independent_of_live_in_memory;
           Mssp_testkit.to_alcotest prop_live_in_view_matches_fragment;
+          Alcotest.test_case "warm run allocation per instruction" `Quick
+            test_warm_run_allocation;
         ] );
       ( "journal",
         [
           Mssp_testkit.to_alcotest prop_journal_fragment_round_trip;
           Mssp_testkit.to_alcotest prop_journal_set_find_matches_fragment;
           Mssp_testkit.to_alcotest prop_live_ins_consistent_matches_cell_walk;
+          Mssp_testkit.to_alcotest prop_journal_memory_matches_model;
         ] );
     ]
