@@ -5,6 +5,7 @@ module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
 module Sblock = Mssp_seq.Sblock
 module Program = Mssp_isa.Program
+module Reg = Mssp_isa.Reg
 module Task = Mssp_task.Task
 module Journal = Mssp_task.Journal
 module Distill = Mssp_distill.Distill
@@ -796,26 +797,71 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
         (* Value-prediction attribution and online training: every
            recorded first-read is one per-cell prediction; its actual
            value is what architected state holds right now (the task's
-           true start point, whether or not this task commits). *)
+           true start point, whether or not this task commits). The walk
+           follows the reads journal's layout (registers in index order,
+           then memory in first-read order) and trains through predictor
+           slots, boxing no cell. A consistent task's recorded values are
+           architected state's, as the check above established, so only
+           an inconsistent one reads [arch] again.
+
+           Each cell first scores the incumbent: the master's own
+           pre-refinement value, from [cp_master_li]. When no override
+           or fault touched the checkpoint, the task ran on that very
+           fragment: its registers are the task's [li], and a memory
+           first-read of a cell the master bound recorded the master's
+           value. Such a read that matched architected state on a cell
+           the master is still trusted on needs no fragment probe: the
+           score would be a hit on a saturated counter. *)
         (match predictor with
         | None -> ()
         | Some p ->
+          let reads = task.Task.reads and mli = cp.cp_master_li in
+          let shared = task.Task.live_in == mli in
+          let mregs =
+            if shared then task.Task.li
+            else begin
+              let j = Journal.create ~mem_size:0 () in
+              Fragment.iter_pc_regs (Journal.set j) mli;
+              j
+            end
+          in
+          let mlo, mhi =
+            if shared then (task.Task.live_in_lo, task.Task.live_in_hi)
+            else
+              match Fragment.mem_bounds mli with
+              | Some b -> b
+              | None -> (max_int, min_int)
+          in
           let hits = ref 0 and misses = ref 0 in
-          Task.iter_reads
-            (fun c v ->
-              match c with
-              | Cell.Pc -> ()
-              | Cell.Reg _ | Cell.Mem _ ->
-                let actual = Full.get arch c in
-                (* score the incumbent first: how good was the master's
-                   own value for this cell (pre-refinement)? *)
-                (match Fragment.find_opt c cp.cp_master_li with
-                | Some supplied ->
-                  Predict.observe_master p c ~supplied ~actual
-                | None -> ());
-                Predict.observe p c actual;
-                if v = actual then incr hits else incr misses)
-            task;
+          for i = 0 to Reg.count - 1 do
+            if Journal.has_reg reads i then begin
+              let v = Journal.reg reads i in
+              let actual =
+                if consistent then v else Full.get_reg arch (Reg.of_int i)
+              in
+              let s = Predict.reg_slot i in
+              if Journal.has_reg mregs i then
+                Predict.observe_master_slot p s ~supplied:(Journal.reg mregs i)
+                  ~actual;
+              Predict.observe_slot p s actual;
+              if v = actual then incr hits else incr misses
+            end
+          done;
+          for k = 0 to Journal.mem_count reads - 1 do
+            let a = Journal.mem_addr reads k and v = Journal.mem_value reads k in
+            let actual = if consistent then v else Full.get_mem arch a in
+            let s = Predict.mem_slot p a in
+            (if a >= mlo && a <= mhi
+                && not (shared && v = actual && Predict.master_trusted p s)
+             then
+               match Fragment.find_opt (Cell.Mem a) mli with
+               | Some supplied ->
+                 Predict.observe_master_slot p s ~supplied ~actual
+               | None -> ());
+            Predict.observe_slot p s actual;
+            if v = actual then incr hits
+            else incr misses
+          done;
           stats.predict_hits <- stats.predict_hits + !hits;
           stats.predict_misses <- stats.predict_misses + !misses;
           if tracing then

@@ -16,12 +16,14 @@ type store_stats = {
   mutable min_comm_distance : int;
 }
 
+type cell_stream = { mutable count : int; mutable values : int array }
+
 type t = {
   block_counts : (int, int) Hashtbl.t;
   branches : (int, branch_stats) Hashtbl.t;
   loads : (int, load_stats) Hashtbl.t;
   stores : (int, store_stats) Hashtbl.t;
-  cells : (int, int list ref) Hashtbl.t;
+  cells : (int, cell_stream) Hashtbl.t;
   mutable dynamic_instructions : int;
   mutable stop : Machine.stop option;
 }
@@ -74,8 +76,18 @@ let note_communication t site distance =
    — stable no matter how many [--jobs] consume the profile later. *)
 let record_cell t addr value =
   match Hashtbl.find_opt t.cells addr with
-  | Some l -> if List.length !l < cell_stream_cap then l := value :: !l
-  | None -> Hashtbl.add t.cells addr (ref [ value ])
+  | Some c ->
+    let n = c.count in
+    if n < cell_stream_cap then begin
+      if n = Array.length c.values then begin
+        let grown = Array.make (min (2 * n) cell_stream_cap) 0 in
+        Array.blit c.values 0 grown 0 n;
+        c.values <- grown
+      end;
+      c.values.(n) <- value;
+      c.count <- n + 1
+    end
+  | None -> Hashtbl.add t.cells addr { count = 1; values = [| value |] }
 
 let record_load t pc value =
   match Hashtbl.find_opt t.loads pc with
@@ -156,7 +168,7 @@ let store_comm_distance t pc =
 let cell_observations t addr =
   match Hashtbl.find_opt t.cells addr with
   | None -> []
-  | Some l -> List.rev !l
+  | Some c -> List.init c.count (Array.get c.values)
 
 let observed_cells t =
   Hashtbl.fold (fun addr _ acc -> addr :: acc) t.cells []

@@ -30,14 +30,21 @@ type store_stats = {
           the master's code. *)
 }
 
+type cell_stream = {
+  mutable count : int;  (** observations recorded *)
+  mutable values : int array;
+      (** oldest first in [values.(0 .. count - 1)]; the capacity
+          doubles on demand up to {!cell_stream_cap} *)
+}
+
 type t = {
   block_counts : (int, int) Hashtbl.t;  (** pc of executed instruction -> count *)
   branches : (int, branch_stats) Hashtbl.t;  (** branch pc -> outcomes *)
   loads : (int, load_stats) Hashtbl.t;  (** load pc -> value stability *)
   stores : (int, store_stats) Hashtbl.t;  (** store pc -> communication *)
-  cells : (int, int list ref) Hashtbl.t;
-      (** per-address observation stream (reversed internally; use
-          {!cell_observations}) — the value predictors' warm-up food *)
+  cells : (int, cell_stream) Hashtbl.t;
+      (** per-address observation stream (use {!cell_observations}) —
+          the value predictors' warm-up food *)
   mutable dynamic_instructions : int;
   mutable stop : Mssp_seq.Machine.stop option;
 }

@@ -79,6 +79,7 @@ let rec slot j a i =
 let[@inline] slot_of j a = slot j a (hash a j.mask)
 let mem_pos j a = Array.unsafe_get j.index (slot_of j a)
 let mem_value j p = Array.unsafe_get j.vals p
+let mem_addr j p = Array.unsafe_get j.addrs p
 
 let find_mem j a =
   let p = mem_pos j a in

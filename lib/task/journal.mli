@@ -55,6 +55,11 @@ val mem_value : t -> int -> int
 (** [mem_value j p]: current value at log position [p] (from
     {!mem_pos}, valid until the next binding). *)
 
+val mem_addr : t -> int -> int
+(** [mem_addr j p]: the address at log position [p]. Positions
+    [0 .. mem_count j - 1] walk the memory bindings in first-binding
+    order, the order of {!iter_mem}. *)
+
 val find_mem : t -> int -> int option
 
 val set_mem : t -> int -> int -> unit

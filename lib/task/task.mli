@@ -224,7 +224,8 @@ val iter_mem_writes : (int -> int -> unit) -> t -> unit
 val iter_reads : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** Iterate the first-read journal (the recorded live-in uses and the
     values the task consumed for them) in journal order — the
-    verification unit's view, reused by the value predictors for
-    hit/miss attribution and online training. *)
+    verification unit's view. Boxes one cell per binding; the machine's
+    predictor training walks [t.reads] through the {!Journal} accessors
+    instead. *)
 
 val pp : Format.formatter -> t -> unit

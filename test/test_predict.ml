@@ -251,6 +251,192 @@ let prop_refine_matches_rebuild =
       Fragment.equal refined (rebuild_refine t frag)
       && ((not (Fragment.equal refined frag)) || refined == frag))
 
+(* --- differential: dense slots against the Cell-keyed model ----------
+
+   [Predict_model] is the Cell-keyed implementation the dense predictor
+   replaced, kept verbatim. Both are driven with the same random steps,
+   and after every step every query of the public API must agree on the
+   cells the step touched and on a fixed probe set. The cell universe
+   covers [Pc], registers, negative addresses and addresses beyond 16M;
+   [Collide] trains two cells on 4-histories whose [ctx_hash]es are
+   equal (the table is keyed by (cell, hash): a hash collision within a
+   cell shares an entry, across cells it must not); values mostly come
+   from a small set, so confidences tie and the seeded tie-break
+   decides; [Sweep] trains up to 96 fresh addresses at once, growing
+   the address index and the context table through several doublings. *)
+
+module Model = Predict_model
+
+let diff_cells =
+  [|
+    Cell.Pc;
+    Cell.Reg Mssp_asm.Regs.t0;
+    Cell.Reg Mssp_asm.Regs.s1;
+    Cell.Reg Mssp_isa.Reg.sp;
+    Cell.Mem 0;
+    Cell.Mem 7;
+    Cell.Mem 8;
+    Cell.Mem (-1);
+    Cell.Mem (-4096);
+    Cell.Mem min_int;
+    Cell.Mem 0x1000001;
+    Cell.Mem (1 lsl 40);
+    Cell.Mem max_int;
+  |]
+
+type diff_step =
+  | D_observe of int * int  (** cell, actual *)
+  | D_master of int * int * int  (** cell, supplied, actual *)
+  | D_collide of int * int * int list * int * int
+      (** cells x and y, a base history, collision shift k, follower:
+          x learns base -> follower, y learns base -> follower + 1, x
+          then sees the shifted history (same hash) *)
+  | D_sweep of int * int * int  (** base address, count, value seed *)
+  | D_warm of (int * int list) list
+  | D_refine of (int * int) list  (** live-in bindings: cell, value *)
+
+let diff_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_bound 3);
+        (1, int_range (-5) 5);
+        (1, oneofl [ min_int; max_int; 1 lsl 35; -(1 lsl 35) ]);
+      ])
+
+let diff_step_gen =
+  let open QCheck.Gen in
+  let cell = int_bound (Array.length diff_cells - 1) in
+  frequency
+    [
+      (8, map2 (fun c v -> D_observe (c, v)) cell diff_value);
+      (4, map3 (fun c s a -> D_master (c, s, a)) cell diff_value diff_value);
+      ( 1,
+        map3
+          (fun (x, y) (base, k) f -> D_collide (x, y, base, k, f))
+          (pair cell cell)
+          (pair (list_repeat 4 (int_bound 50)) (int_range 1 3))
+          diff_value );
+      ( 1,
+        map3
+          (fun base n seed -> D_sweep (base, n, seed))
+          (oneofl [ -(1 lsl 40); -64; 0x1000; 0x1000000; 1 lsl 50 ])
+          (int_range 1 96) (int_bound 7) );
+      ( 1,
+        map
+          (fun l -> D_warm l)
+          (list_size (int_bound 3)
+             (pair
+                (oneofl [ 7; -1; 0x1000001; 1 lsl 40; 0x2000 ])
+                (list_size (int_bound 8) diff_value))) );
+      (3, map (fun l -> D_refine l) (list_size (int_bound 8) (pair cell diff_value)));
+    ]
+
+let show_diff_step = function
+  | D_observe (c, v) -> Printf.sprintf "observe %s %d" (Cell.show diff_cells.(c)) v
+  | D_master (c, s, a) ->
+    Printf.sprintf "master %s %d/%d" (Cell.show diff_cells.(c)) s a
+  | D_collide (x, y, base, k, f) ->
+    Printf.sprintf "collide %s %s [%s] +%d -> %d" (Cell.show diff_cells.(x))
+      (Cell.show diff_cells.(y))
+      (String.concat ";" (List.map string_of_int base))
+      k f
+  | D_sweep (b, n, seed) -> Printf.sprintf "sweep %#x x%d seed %d" b n seed
+  | D_warm l -> Printf.sprintf "warm %d streams" (List.length l)
+  | D_refine l -> Printf.sprintf "refine %d bindings" (List.length l)
+
+let arbitrary_diff_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (m, seed, steps) ->
+      Printf.sprintf "%s seed %d:\n  %s" (Predict.mode_to_string m) seed
+        (String.concat "\n  " (List.map show_diff_step steps)))
+    (triple
+       (oneofl Predict.[ Off; Last_value; Stride; Context; Tournament; Broken ])
+       (oneof [ return 0x5bd1e995; int ])
+       (list_size (int_bound 60) diff_step_gen))
+
+let sweep_addr base i = base + (i * 3)
+
+(* observations a sweep feeds address [i]: six values, so every swept
+   cell fills its history and records two contexts *)
+let sweep_values seed i = List.init 6 (fun j -> ((i * seed) + (j * (i mod 3))) mod 5)
+
+let diff_agree t m c =
+  let names = [ "last-value"; "stride"; "context"; "no-such-component" ] in
+  Predict.predict t c = Model.predict m c
+  && Predict.components t c = Model.components m c
+  && Predict.chosen t c = Model.chosen m c
+  && Predict.master_confidence t c = Model.master_confidence m c
+  && List.for_all
+       (fun n -> Predict.confidence t c n = Model.confidence m c n)
+       names
+
+let prop_dense_matches_model =
+  QCheck.Test.make ~name:"dense predictor = the Cell-keyed model, every step"
+    ~count:300 arbitrary_diff_case (fun (mode, seed, steps) ->
+      let t = Predict.create ~seed mode in
+      let m =
+        Model.create ~seed
+          (Option.get (Model.mode_of_string (Predict.mode_to_string mode)))
+      in
+      let both c v =
+        Predict.observe t c v;
+        Model.observe m c v
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let check_cells step cells =
+        List.iter
+          (fun c ->
+            if not (diff_agree t m c) then
+              fail "after %s: %s disagrees" (show_diff_step step) (Cell.show c))
+          (cells @ Array.to_list diff_cells)
+      in
+      List.iter
+        (fun step ->
+          match step with
+          | D_observe (c, v) ->
+            both diff_cells.(c) v;
+            check_cells step []
+          | D_master (c, supplied, actual) ->
+            Predict.observe_master t diff_cells.(c) ~supplied ~actual;
+            Model.observe_master m diff_cells.(c) ~supplied ~actual;
+            check_cells step []
+          | D_collide (x, y, base, k, f) ->
+            let x = diff_cells.(x) and y = diff_cells.(y) in
+            let shifted =
+              List.mapi
+                (fun i v -> if i = 2 then v + k else if i = 3 then v - (31 * k) else v)
+                base
+            in
+            List.iter (both x) (base @ [ f ]);
+            List.iter (both y) (base @ [ f + 1 ]);
+            List.iter (both x) shifted;
+            check_cells step []
+          | D_sweep (base, n, seed) ->
+            let cells = List.init n (fun i -> Cell.Mem (sweep_addr base i)) in
+            List.iteri
+              (fun i c -> List.iter (both c) (sweep_values seed i))
+              cells;
+            check_cells step cells
+          | D_warm bindings ->
+            Predict.warm t bindings;
+            Model.warm m bindings;
+            check_cells step (List.map (fun (a, _) -> Cell.Mem a) bindings)
+          | D_refine binds ->
+            let frag =
+              Fragment.of_list (List.map (fun (c, v) -> (diff_cells.(c), v)) binds)
+            in
+            let r = Predict.refine t frag and r' = Model.refine m frag in
+            if not (Fragment.equal r r') then
+              fail "after %s: refine %s, model %s" (show_diff_step step)
+                (Fragment.show r) (Fragment.show r');
+            if (r == frag) <> (r' == frag) then
+              fail "after %s: physical identity differs" (show_diff_step step);
+            check_cells step [])
+        steps;
+      true)
+
 (* --- warm-up from the profiler's streams ------------------------------ *)
 
 let test_warmup_of_profile () =
@@ -267,6 +453,34 @@ let test_warmup_of_profile () =
         (Profile.cell_observations profile addr)
         values)
     warm
+
+(* Training a cell that already has a slot allocates nothing: the
+   observation periods below repeat every history, so every context
+   entry exists too after the first thousand steps, and the measured ten
+   thousand steps touch no new state. *)
+let test_observe_allocates_nothing () =
+  let t = Predict.create Predict.Tournament in
+  let cells =
+    [| Cell.Reg Mssp_asm.Regs.s1; Cell.Mem 0x40; Cell.Mem (-8); Cell.Mem (1 lsl 30) |]
+  in
+  let step i =
+    let c = cells.(i land 3) in
+    Predict.observe t c (i mod 5);
+    Predict.observe_master t c ~supplied:(i mod 3) ~actual:(i mod 5)
+  in
+  for i = 0 to 999 do
+    step i
+  done;
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1000 to 1000 + calls - 1 do
+    step i
+  done;
+  let words = Gc.minor_words () -. before in
+  (* the two Gc.minor_words readings box a float or two *)
+  if words > 8. then
+    Alcotest.failf "observe + observe_master: %.0f minor words over %d steps"
+      words calls
 
 (* --- machine-level suites ---------------------------------------------
 
@@ -365,6 +579,9 @@ let () =
           Mssp_testkit.to_alcotest prop_refine_matches_rebuild;
           Mssp_testkit.to_alcotest prop_tournament_maximal;
           Mssp_testkit.to_alcotest prop_deterministic;
+          Mssp_testkit.to_alcotest prop_dense_matches_model;
+          Alcotest.test_case "trained slots allocate nothing" `Quick
+            test_observe_allocates_nothing;
         ] );
       ( "machine",
         [
