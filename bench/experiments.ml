@@ -1248,7 +1248,6 @@ let svcg () =
       P.default_spec with
       P.program = P.Bench { name = "matmul"; size = Some size };
       slaves = 4;
-      pool = Some 0;
     }
   in
   (* the in-process baseline mirrors the daemon's steady state: the
@@ -1290,7 +1289,7 @@ let svcg () =
   in
   let d =
     D.start
-      { D.default_config with D.socket; workers = 1; default_pool = Some 0 }
+      { D.default_config with D.socket; workers = 1 }
   in
   Fun.protect ~finally:(fun () -> D.stop d) @@ fun () ->
   let c = C.connect ~socket in

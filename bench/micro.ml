@@ -1,9 +1,7 @@
 (** Bechamel micro-benchmarks of the simulator's hot paths — these bound
     how large a workload the reproduction can simulate, and catch
     performance regressions in the substrate. The [(paged)] memory
-    entries go through the real {!Mssp_state.Full.t}; the [pool ...]
-    entries price the domain pool's dispatch overhead against the work
-    it amortizes. *)
+    entries go through the real {!Mssp_state.Full.t}. *)
 
 open Bechamel
 open Toolkit
@@ -15,7 +13,6 @@ module Full = Mssp_state.Full
 module Cache = Mssp_cache.Cache
 module Task = Mssp_task.Task
 module Machine = Mssp_seq.Machine
-module Pool = Mssp_exec.Pool
 
 let sample_instr = Instr.Alu (Instr.Add, Reg.of_int 1, Reg.of_int 2, Reg.of_int 3)
 let sample_word = Instr.encode sample_instr
@@ -113,31 +110,6 @@ let test_task_run =
              ~budget:100 ~live_in:task_live_in ()
          in
          Task.run t task_view))
-
-(* --- domain pool dispatch --------------------------------------------
-   prices the pool's fixed cost (submit + signal + await) against the
-   work it offloads: an empty closure bounds the overhead from below, a
-   whole 48-instruction task body is the intra-run unit the simulator
-   actually ships to a worker. lazily forced so a bench invocation that
-   never reaches the micros spawns no domain. *)
-
-let micro_pool = lazy (Pool.global ~size:1 ())
-
-let test_pool_dispatch =
-  Test.make ~name:"pool dispatch (empty task)"
-    (Staged.stage (fun () ->
-         Pool.await (Pool.submit (Lazy.force micro_pool) (fun () -> ()))))
-
-let test_task_run_pooled =
-  Test.make ~name:"task run (48 instrs, pooled)"
-    (Staged.stage (fun () ->
-         let t =
-           Task.make ~id:0 ~start_pc:task_entry ~end_pc:None ~end_occurrence:1
-             ~budget:100 ~live_in:task_live_in ()
-         in
-         Pool.await
-           (Pool.submit (Lazy.force micro_pool) (fun () ->
-                Task.run t task_view))))
 
 (* non-speculative recovery replay: advance a COW copy of architected
    state 48 instructions with the sequential machine *)
@@ -292,7 +264,6 @@ let tests =
       test_read_paged; test_write_paged;
       test_copy_paged; test_checkpoint_paged;
       test_exec_step; test_task_run; test_recovery_replay;
-      test_pool_dispatch; test_task_run_pooled;
       test_superimpose; test_consistent; test_cache_access;
       test_run_trace_off; test_run_trace_ring;
     ]
@@ -346,12 +317,6 @@ let run () =
     | [] -> []
   in
   let ns name = List.assoc_opt name estimates in
-  (match (ns "pool dispatch (empty task)", ns "task run (48 instrs)") with
-  | Some d, Some t when t > 0. ->
-    Printf.printf
-      "\n  pool dispatch: %.1f ns fixed cost, %.2fx one 48-instr task body\n" d
-      (d /. t)
-  | _ -> ());
   (match (ns "mssp run (trace off)", ns "mssp run (ring trace)") with
   | Some off, Some ring when off > 0. ->
     Printf.printf "\n  tracing: full run %.1f us off, %.1f us ring  (%+.1f%%)\n"

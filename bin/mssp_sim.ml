@@ -65,15 +65,6 @@ let no_distill_arg =
   let doc = "Disable all distiller transformations (identity master ablation)." in
   Arg.(value & flag & info [ "no-distill" ] ~doc)
 
-let pool_arg =
-  let doc =
-    "Worker domains executing slave task bodies (0: serial event-loop \
-     path; default: the MSSP_POOL environment variable, absent = 0). \
-     Simulated cycles, stats and traces are bit-identical at every size \
-     — the pool buys host wall clock only."
-  in
-  Arg.(value & opt (some int) None & info [ "pool"; "jobs" ] ~docv:"N" ~doc)
-
 let predict_arg =
   let mode_conv =
     Arg.conv
@@ -114,13 +105,12 @@ let prepare name size no_distill =
   let options = if no_distill then Distill.identity_options else Distill.default_options in
   (b, program, Distill.distill ~options program profile)
 
-let config ?pool slaves task_size isolated verify =
+let config slaves task_size isolated verify =
   {
     (Config.with_slaves slaves Config.default) with
     Config.task_size;
     isolated_slaves = isolated;
     verify_refinement = verify;
-    pool;
   }
 
 (* --- list --- *)
@@ -243,8 +233,8 @@ let run_cmd =
                runaway workload becomes a structured failure, not a hung \
                job.")
   in
-  let run name size slaves task_size isolated verify no_distill trace pool
-      predict adapt timeout =
+  let run name size slaves task_size isolated verify no_distill trace predict
+      adapt timeout =
     let b, size = resolve_bench name size in
     let train = b.W.program ~size:b.W.train_size in
     let program = b.W.program ~size in
@@ -262,7 +252,7 @@ let run_cmd =
         timeout
     in
     let cfg =
-      { (config ?pool slaves task_size isolated verify) with
+      { (config slaves task_size isolated verify) with
         Config.tracer = Option.map fst collector;
         interrupt;
         predict;
@@ -314,8 +304,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a benchmark under MSSP")
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
-      $ isolated_arg $ verify_arg $ no_distill_arg $ trace_arg $ pool_arg
-      $ predict_arg $ adapt_arg $ timeout_arg)
+      $ isolated_arg $ verify_arg $ no_distill_arg $ trace_arg $ predict_arg
+      $ adapt_arg $ timeout_arg)
 
 (* --- trace --- *)
 
@@ -343,8 +333,7 @@ let trace_cmd =
          ~doc:"Keep only the last $(docv) events (bounded ring buffer) \
                instead of the full stream.")
   in
-  let run name size slaves task_size isolated verify no_distill format out ring
-      pool =
+  let run name size slaves task_size isolated verify no_distill format out ring =
     let _, _, d = prepare name size no_distill in
     let tracer, events =
       match ring with
@@ -356,7 +345,7 @@ let trace_cmd =
         (tr, fun () -> Trace.Ring.contents buf)
     in
     let cfg =
-      { (config ?pool slaves task_size isolated verify) with
+      { (config slaves task_size isolated verify) with
         Config.tracer = Some tracer }
     in
     let r = M.run ~config:cfg d in
@@ -398,15 +387,15 @@ let trace_cmd =
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
       $ isolated_arg $ verify_arg $ no_distill_arg $ format_arg $ out_arg
-      $ ring_arg $ pool_arg)
+      $ ring_arg)
 
 (* --- compare --- *)
 
 let compare_cmd =
-  let run name size slaves task_size no_distill pool =
+  let run name size slaves task_size no_distill =
     let _, program, d = prepare name size no_distill in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
-    let cfg = config ?pool slaves task_size false true in
+    let cfg = config slaves task_size false true in
     let r = M.run ~config:cfg d in
     let equal = Full.equal_observable baseline.B.state r.M.arch in
     Printf.printf "sequential cycles: %d\n" baseline.B.cycles;
@@ -431,7 +420,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Verify MSSP against SEQ and report the speedup")
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
-      $ no_distill_arg $ pool_arg)
+      $ no_distill_arg)
 
 (* --- exec --- *)
 
@@ -663,8 +652,8 @@ let fuzz_cmd =
       Driver.campaign ~seed ~count ~size ~shrink_budget:budget ?out ~save
         ~trace ~log ~jobs ~weights ~faults ~distill_grid ~predict_grid ()
     in
-    (* one lifecycle path with the daemon: join shard workers before
-       the verdict is reported and the process exits *)
+    (* join shard workers before the verdict is reported and the
+       process exits *)
     Mssp_exec.Pool.shutdown_global ();
     Printf.printf
       "fuzz: %d programs (%d skipped), %d machine runs compared, %d divergence(s)\n"
@@ -715,11 +704,11 @@ let audit_cmd =
                absorbable).")
   in
   let intensities = [ 0.1; 0.5; 1.0 ] in
-  let run name size slaves task_size seed watchdog pool =
+  let run name size slaves task_size seed watchdog =
     let _, program, d = prepare name size false in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
     let base_cfg =
-      { (config ?pool slaves task_size false true) with
+      { (config slaves task_size false true) with
         Config.liveness_window = Some 5_000_000 }
     in
     let clean = M.run ~config:base_cfg d in
@@ -788,7 +777,7 @@ let audit_cmd =
           or the audit fails")
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg $ seed_arg
-      $ watchdog_arg $ pool_arg)
+      $ watchdog_arg)
 
 (* --- maude --- *)
 

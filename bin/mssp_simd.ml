@@ -4,10 +4,9 @@
    SIGTERM/SIGINT (or a client's drain request), then shuts down
    gracefully: stops admitting (late submissions get a structured
    shutting_down rejection), resolves queued jobs per the drain policy,
-   waits for running simulations, and joins the process-global domain
-   pool. Runaway jobs are bounded by per-job fuel and wall-clock
-   deadlines; a crashing job is reported to its client with a repro
-   line and never takes the daemon down.
+   and waits for running simulations. Runaway jobs are bounded by
+   per-job fuel and wall-clock deadlines; a crashing job is reported to
+   its client with a repro line and never takes the daemon down.
 
    Examples:
      mssp_simd --socket /tmp/mssp.sock --workers 4 --queue-cap 64
@@ -56,13 +55,6 @@ let drain_policy_arg =
 let log_arg =
   let doc = "Append service events (admit/reject/deadline/drain) as JSONL." in
   Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE" ~doc)
-
-let pool_arg =
-  let doc =
-    "Worker domains for jobs that leave their pool unset (default: the \
-     MSSP_POOL environment). Never changes results, only wall clock."
-  in
-  Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N" ~doc)
 
 let max_fuel_arg =
   let doc = "Largest simulated-cycle budget a job may request." in
@@ -124,8 +116,8 @@ let chaos_fatal_arg =
     & opt (some chaos_conv) None
     & info [ "chaos-fatal" ] ~docv:"SEED:P" ~doc)
 
-let main socket queue_cap workers retries backoff_ms drain_policy log pool
-    max_fuel default_fuel max_deadline_ms default_deadline_ms chaos_transient
+let main socket queue_cap workers retries backoff_ms drain_policy log max_fuel
+    default_fuel max_deadline_ms default_deadline_ms chaos_transient
     chaos_fatal =
   let cfg =
     {
@@ -144,7 +136,6 @@ let main socket queue_cap workers retries backoff_ms drain_policy log pool
       backoff_ms;
       drain_policy;
       log;
-      default_pool = pool;
       chaos_transient;
       chaos_fatal;
     }
@@ -165,9 +156,6 @@ let main socket queue_cap workers retries backoff_ms drain_policy log pool
   Printf.printf "mssp_simd: draining (%s policy)...\n%!"
     (match drain_policy with `Wait -> "wait" | `Cancel -> "cancel");
   Daemon.stop d;
-  (* the shared lifecycle path with the bench/fuzz CLIs: join every
-     worker domain before exiting *)
-  Mssp_exec.Pool.shutdown_global ();
   List.iter
     (fun (k, v) -> Printf.printf "  %-24s %d\n" k v)
     (Daemon.stats d);
@@ -179,7 +167,7 @@ let () =
   let term =
     Term.(
       const main $ socket_arg $ queue_cap_arg $ workers_arg $ retries_arg
-      $ backoff_arg $ drain_policy_arg $ log_arg $ pool_arg $ max_fuel_arg
+      $ backoff_arg $ drain_policy_arg $ log_arg $ max_fuel_arg
       $ default_fuel_arg $ max_deadline_arg $ default_deadline_arg
       $ chaos_transient_arg $ chaos_fatal_arg)
   in

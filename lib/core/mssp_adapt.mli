@@ -13,8 +13,7 @@
 
     Deterministic end to end: the loop consumes only simulated
     quantities (cycles, squash counts), so the chosen round — and the
-    E19 bench guard built on it — is bit-identical across hosts and
-    pool sizes. *)
+    E19 bench guard built on it — is bit-identical across hosts. *)
 
 type round = {
   index : int;  (** 0 = static distillation *)

@@ -108,8 +108,8 @@ type t = {
           (verification absorbs them like any master misprediction). *)
   predict_seed : int;
       (** seed for the tournament selector's deterministic tie-breaking
-          — part of the simulated machine, so runs are bit-identical at
-          every pool size *)
+          — part of the simulated machine, so runs are bit-identical on
+          every host *)
   predict_warmup : (int * int list) list;
       (** per-address observation streams replayed into the predictor
           before the run (see [Predict.warmup_of_profile]); ignored when
@@ -135,17 +135,12 @@ type t = {
           closure runs on the event-loop domain; keep it cheap (an
           [Atomic.get], a clock read). *)
   pool : int option;
-      (** worker domains for slave task {e functional} execution
-          ({!Mssp_exec.Pool}): [Some 0] pins the serial in-event-loop
-          path, [Some n] dispatches task bodies to [n] workers, [None]
-          (the default) defers to the [MSSP_POOL] environment variable
-          (absent ⇒ serial). Pool size {e never} changes simulated
-          cycles, stats, squash attribution or traces — runs are
-          bit-identical at every size (enforced by tests and the CI
-          pool leg). The only host-engine knob: which executor runs
-          slave bodies and recovery segments is not configurable (the
-          single-step reference is reached only through
-          [Mssp_machine.run ~reference:true]). *)
+      (** no effect: nothing reads it. Every run executes its slave
+          bodies inline, one serial executor per run (the single-step
+          reference is reached only through
+          [Mssp_machine.run ~reference:true]). Kept only because
+          [perfbench/] still sets it; it goes with the benchmark's next
+          change. *)
   master_chunk : int;
       (** run-away guard: a master producing no fork for this many
           instructions is stopped (execution continues correctly via

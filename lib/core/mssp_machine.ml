@@ -12,7 +12,6 @@ module Distill = Mssp_distill.Distill
 module Sim = Mssp_sim_engine.Sim
 module Hierarchy = Mssp_cache.Cache.Hierarchy
 module Trace = Mssp_trace.Trace
-module Pool = Mssp_exec.Pool
 module Fplan = Mssp_faults.Plan
 module Inject = Mssp_faults.Injector
 module Predict = Mssp_predict.Predict
@@ -225,10 +224,9 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
   let next_cp_id = ref 0 in
   (* The live-in value predictor. Consulted at checkpoint construction
      ([spawn], before fault injection) and trained at verification time
-     from the actual architected values of the head task's first-reads —
-     both on the event-loop domain, so its state evolves identically at
-     every pool size. [Off] (the default) means no predictor object at
-     all: zero cost, bit-identical everything. *)
+     from the actual architected values of the head task's first-reads.
+     [Off] (the default) means no predictor object at all: zero cost,
+     bit-identical everything. *)
   let predictor =
     match cfg.predict with
     | Predict.Off -> None
@@ -260,13 +258,10 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
   (* Block-aware slave journaling: task bodies execute from per-SLAVE
      superblock caches with first-reads staged in serial first-read
      order. The caches persist across a slave's task runs — tasks are
-     far too short to amortize block building per run — and per-slave
-     ownership is what keeps the pooled path race-free: a batch assigns
-     distinct slaves, so no engine is ever touched by two worker domains
-     at once, and all invalidation below runs on the event-loop domain
-     between batches. [reference] runs the bodies on the
-     per-instruction interpreter instead, bit-identically (the sjournal
-     differential suite and the SJRNLG bench guard). *)
+     far too short to amortize block building per run. [reference] runs
+     the bodies on the per-instruction interpreter instead,
+     bit-identically (the sjournal differential suite and the SJRNLG
+     bench guard). *)
   let slave_specs =
     if reference then None
     else
@@ -379,88 +374,22 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
   let burst_streak = ref 0 in
   (* per-slave quarantine: consecutive head squashes of a slave's tasks *)
   let quarantine_on = cfg.quarantine_after > 0 && inj <> None in
-  (* Host-parallel slave execution. A task body is a pure function of
-     its checkpoint + the (frozen-during-dispatch) architected state:
-     PR 1's COW image and flat journals made it side-effect-free, so it
-     may run on a worker domain. Everything that orders the simulation —
-     cache traffic, trace emission, event scheduling — stays on the
-     event-loop domain, which is what keeps pooled runs bit-identical
-     to serial ones (see HACKING.md "Determinism under domains"). *)
-  let exec_pool =
-    match Pool.effective cfg.pool with
-    | 0 -> None
-    | n -> Some (Pool.global ~size:n ())
-  in
   let task_view =
     if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch
   in
-  let run_task ~on_access s task =
+  (* Run one task body inline on slave [s], charging each of its memory
+     accesses to that slave's cache; returns the cache cost. *)
+  let run_task s task =
+    let cache = slave_caches.(s) in
+    let cost = ref 0 in
+    let on_access a = cost := !cost + Hierarchy.access cache a in
     let status =
       match slave_specs with
       | None -> Task.run_reference ~on_access task task_view
       | Some specs -> Task.run ~on_access ~engine:specs.(s) task task_view
     in
-    ignore (status : Task.status)
-  in
-  (* Execute one batch of startable tasks (all from a single
-     [try_start_tasks] event); returns each task's cache cost, in batch
-     order. Serial: run each body inline, charging its slave cache as it
-     goes. Pooled: run the bodies on workers with their Mem accesses
-     recorded instead of applied, await them all within this event, then
-     replay the recorded addresses through the slave caches here, in
-     batch order. The serial path issues all of task A's accesses before
-     any of task B's (bodies run back to back inside one event), which
-     is exactly the replay order — so the shared-L2 hierarchy evolves
-     identically and every per-task cost is bit-equal. *)
-  let run_task_batch batch =
-    match exec_pool with
-    | None ->
-      List.map
-        (fun (_, s, task) ->
-          let cache = slave_caches.(s) in
-          let cost = ref 0 in
-          let on_access a = cost := !cost + Hierarchy.access cache a in
-          run_task ~on_access s task;
-          !cost)
-        batch
-    | Some pool ->
-      let futures =
-        List.map
-          (fun (_, s, task) ->
-            let accesses = ref (Array.make 64 0) in
-            let n = ref 0 in
-            let on_access a =
-              let buf = !accesses in
-              let len = Array.length buf in
-              if !n = len then begin
-                let bigger = Array.make (2 * len) 0 in
-                Array.blit buf 0 bigger 0 len;
-                accesses := bigger;
-                bigger.(!n) <- a
-              end
-              else buf.(!n) <- a;
-              incr n
-            in
-            let fut =
-              (* distinct [s] per batch: the slave's engine is touched
-                 by exactly one worker at a time, and the pool's
-                 submit/await edges publish inter-batch invalidations *)
-              Pool.submit pool (fun () -> run_task ~on_access s task)
-            in
-            (accesses, n, fut))
-          batch
-      in
-      List.map2
-        (fun (_, s, _) (accesses, n, fut) ->
-          Pool.await fut;
-          let cache = slave_caches.(s) in
-          let cost = ref 0 in
-          let buf = !accesses in
-          for i = 0 to !n - 1 do
-            cost := !cost + Hierarchy.access cache buf.(i)
-          done;
-          !cost)
-        batch futures
+    ignore (status : Task.status);
+    !cost
   in
   let running = ref true in
   let commit_busy = ref false in
@@ -636,116 +565,99 @@ let run ?(reference = false) ?(config = Mssp_config.default) (d : Distill.t) =
     commit_kick ()
   (* --- slaves ------------------------------------------------------ *)
   and try_start_tasks () =
-    (* Phase 1: slave assignment and task construction, in window order
-       — the same scan (and therefore the same slave numbering) as the
-       serial engine's single pass. *)
-    let rev_batch = ref [] in
+    (* One pass over the window, in order: each startable checkpoint
+       takes the lowest-numbered free slave and starts at once. *)
     Queue.iter
       (fun cp ->
         if cp.cp_task = None && cp.cp_end_known then
           match find_free_slave () with
           | None -> ()
-          | Some s ->
-            slave_free.(s) <- false;
-            cp.cp_slave <- s;
-            let task =
-              Task.make ~reads_size:slave_live_ins.(s) ~id:cp.cp_id
-                ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
-                ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
-                ~live_in:cp.cp_live_in ()
-            in
-            let task =
-              if reference then task
-              else Task.with_decode images_decode task
-            in
-            cp.cp_task <- Some task;
-            rev_batch := (cp, s, task) :: !rev_batch)
-      window;
-    match List.rev !rev_batch with
-    | [] -> ()
-    | batch ->
-      (* Phase 2: functional execution — inline, or fanned out to the
-         domain pool and awaited before this event proceeds. Architected
-         state is not mutated until the await completes, and [Task.run]
-         emits no events, so pooling cannot reorder anything
-         observable. *)
-      let costs = run_task_batch batch in
-      (* Phase 3: trace emission and completion scheduling, in window
-         order — the stream and heap-FIFO order match the serial engine
-         because phase 2 contributes neither. *)
-      List.iter2
-        (fun (cp, s, task) cost ->
-          slave_live_ins.(s) <- Journal.mem_count task.Task.reads;
-          if tracing then
-            temit
-              (Trace.Slave_start
-                 { cycle = Sim.now sim; task = cp.cp_id; slave = s });
-          let total =
-            t.spawn_latency + cp.cp_extra
-            + (t.slave_base * task.Task.executed)
-            + cost
-          in
-          stats.slave_busy_cycles <- stats.slave_busy_cycles + total;
-          let stalled =
-            match inj with
-            | None -> false
-            | Some i -> (
-              match Inject.fire i Fplan.Slave_stall ~cycle:(Sim.now sim) with
-              | Some a ->
-                fault_event a "slave_stall" (Some cp.cp_id);
-                true
-              | None -> false)
-          in
-          if stalled then
-            (* the completion message never arrives: park a no-op past
-               the horizon so the run hangs (to the cycle limit) unless
-               a watchdog or the liveness layer intervenes *)
-            Sim.schedule sim
-              ~delay:(cfg.max_cycles + 1)
-              (epoch_guarded (fun () -> ()))
-          else
-            Sim.schedule sim ~delay:total
-              (epoch_guarded (fun () ->
-                   cp.cp_finished <- true;
-                   if tracing then
-                     temit
-                       (Trace.Slave_finish
-                          {
-                            cycle = Sim.now sim;
-                            task = cp.cp_id;
-                            slave = s;
-                            executed = task.Task.executed;
-                            ok =
-                              (match task.Task.status with
-                              | Task.Complete _ -> true
-                              | Task.Running | Task.Failed _ -> false);
-                          });
-                   slave_free.(s) <- true;
-                   try_start_tasks ();
-                   commit_kick ()));
-          (* per-task cycle watchdog: a task not finished after
-             [watchdog_cycles] is declared stalled — squash and
-             re-dispatch via recovery. Squash-stale via the epoch guard;
-             honest completions land first and mark [cp_finished]. *)
-          match policy.Fplan.watchdog_cycles with
-          | Some w when inj <> None ->
-            Sim.schedule sim ~delay:w
-              (epoch_guarded (fun () ->
-                   if not cp.cp_finished then begin
-                     stats.watchdog_squashes <- stats.watchdog_squashes + 1;
-                     if tracing then
-                       temit
-                         (Trace.Watchdog
-                            {
-                              cycle = Sim.now sim;
-                              task = cp.cp_id;
-                              slave = s;
-                              waited = w;
-                            });
-                     start_squash ~task:cp.cp_id ~slave:s Stalled
-                   end))
-          | Some _ | None -> ())
-        batch costs
+          | Some s -> start_task cp s)
+      window
+  (* Make the task, run its body inline (bodies emit no events and never
+     fire the injector), then announce it and schedule its completion. *)
+  and start_task cp s =
+    slave_free.(s) <- false;
+    cp.cp_slave <- s;
+    let task =
+      Task.make ~reads_size:slave_live_ins.(s) ~id:cp.cp_id
+        ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
+        ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
+        ~live_in:cp.cp_live_in ()
+    in
+    let task =
+      if reference then task else Task.with_decode images_decode task
+    in
+    cp.cp_task <- Some task;
+    let cost = run_task s task in
+    slave_live_ins.(s) <- Journal.mem_count task.Task.reads;
+    if tracing then
+      temit
+        (Trace.Slave_start
+           { cycle = Sim.now sim; task = cp.cp_id; slave = s });
+    let total =
+      t.spawn_latency + cp.cp_extra + (t.slave_base * task.Task.executed) + cost
+    in
+    stats.slave_busy_cycles <- stats.slave_busy_cycles + total;
+    let stalled =
+      match inj with
+      | None -> false
+      | Some i -> (
+        match Inject.fire i Fplan.Slave_stall ~cycle:(Sim.now sim) with
+        | Some a ->
+          fault_event a "slave_stall" (Some cp.cp_id);
+          true
+        | None -> false)
+    in
+    if stalled then
+      (* the completion message never arrives: park a no-op past the
+         horizon so the run hangs (to the cycle limit) unless a watchdog
+         or the liveness layer intervenes *)
+      Sim.schedule sim
+        ~delay:(cfg.max_cycles + 1)
+        (epoch_guarded (fun () -> ()))
+    else
+      Sim.schedule sim ~delay:total
+        (epoch_guarded (fun () ->
+             cp.cp_finished <- true;
+             if tracing then
+               temit
+                 (Trace.Slave_finish
+                    {
+                      cycle = Sim.now sim;
+                      task = cp.cp_id;
+                      slave = s;
+                      executed = task.Task.executed;
+                      ok =
+                        (match task.Task.status with
+                        | Task.Complete _ -> true
+                        | Task.Running | Task.Failed _ -> false);
+                    });
+             slave_free.(s) <- true;
+             try_start_tasks ();
+             commit_kick ()));
+    (* per-task cycle watchdog: a task not finished after
+       [watchdog_cycles] is declared stalled — squash and re-dispatch via
+       recovery. Squash-stale via the epoch guard; honest completions
+       land first and mark [cp_finished]. *)
+    match policy.Fplan.watchdog_cycles with
+    | Some w when inj <> None ->
+      Sim.schedule sim ~delay:w
+        (epoch_guarded (fun () ->
+             if not cp.cp_finished then begin
+               stats.watchdog_squashes <- stats.watchdog_squashes + 1;
+               if tracing then
+                 temit
+                   (Trace.Watchdog
+                      {
+                        cycle = Sim.now sim;
+                        task = cp.cp_id;
+                        slave = s;
+                        waited = w;
+                      });
+               start_squash ~task:cp.cp_id ~slave:s Stalled
+             end))
+    | Some _ | None -> ()
   (* --- verify/commit unit ------------------------------------------ *)
   and commit_kick () =
     (* The commit unit re-examines the window head; serialization of the

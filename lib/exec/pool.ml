@@ -1,8 +1,8 @@
 (* One mutex + one condition guard everything: the job queue, worker
    lifecycle, and every future's state. Completions broadcast on the
    same condition workers sleep on — spurious wakeups are re-checked by
-   both loops. Contention is negligible at the pool's grain (whole task
-   bodies and whole simulations, microseconds to seconds per job). *)
+   both loops. Contention is negligible at the pool's grain (whole
+   simulations, milliseconds to seconds per job). *)
 
 type job = unit -> unit
 
@@ -177,23 +177,6 @@ let shutdown_global () =
   global_pool := None;
   Mutex.unlock global_m;
   match t with None -> () | Some t -> drain t
-
-(* computed eagerly at module init: a [lazy] here would be forced
-   concurrently by worker domains (any run with [pool = None] inside a
-   pooled job), and plain lazies are not domain-safe — concurrent
-   forcing raises [CamlinternalLazy.Undefined] *)
-let env_size =
-  let v =
-    match Sys.getenv_opt "MSSP_POOL" with
-    | None -> 0
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> 0)
-  in
-  fun () -> v
-
-let effective = function Some n -> max 0 n | None -> env_size ()
 
 let map_runs ~jobs f items =
   match items with

@@ -1,15 +1,10 @@
 (** A fixed-size domain pool with futures, built on stdlib [Domain] +
     [Mutex]/[Condition] only.
 
-    The pool exists for two grain sizes of host parallelism:
-
-    - {b intra-run}: the MSSP machine dispatches slave task {e functional
-      execution} (pure against a checkpointed COW state) to worker
-      domains, then awaits and finalizes the results on the event loop
-      in the original order — so simulated cycles, stats and traces are
-      bit-identical to the serial engine whatever the pool size;
-    - {b inter-run}: {!map_runs} fans whole independent simulations
-      (bench experiment points, fuzz campaign shards) across domains.
+    The pool parallelizes across runs, never within one: {!map_runs}
+    fans whole independent simulations (bench experiment points, fuzz
+    campaign shards) across domains, while each MSSP run executes its
+    slave task bodies inline on one serial executor.
 
     Determinism contract: the pool never influences {e results}, only
     wall clock. [submit] captures a thunk; [await] returns exactly what
@@ -18,8 +13,8 @@
     HACKING.md "Determinism under domains".
 
     Awaiting {e helps}: a domain blocked in {!await} executes other
-    queued jobs while it waits, so nested use (a pooled run submitting
-    pooled task bodies) cannot deadlock even on a pool of one worker. *)
+    queued jobs while it waits, so nested use (a mapped item that itself
+    calls {!map_runs}) cannot deadlock even on a pool of one worker. *)
 
 type t
 (** A pool handle. A pool of size 0 has no worker domains: [submit]
@@ -52,7 +47,7 @@ val drain : t -> unit
 
     One shared pool per process, grown on demand and never shrunk —
     sizing only affects wall clock, never results, so sharing one pool
-    across machine runs and harness drivers is always sound. *)
+    across harness drivers is always sound. *)
 
 val global : size:int -> unit -> t
 (** The shared pool, spawning workers so that at least
@@ -65,15 +60,6 @@ val shutdown_global : unit -> unit
     SIGTERM drain and the bench/fuzz CLI exits. Idempotent (a no-op
     when no global pool exists); thread-safe. Never call it while
     other threads still hold unresolved futures on the global pool. *)
-
-val env_size : unit -> int
-(** The [MSSP_POOL] environment default: worker domains for machine runs
-    that do not pin a pool size in their config (0 when unset or
-    unparseable). Read once, at first use. *)
-
-val effective : int option -> int
-(** Resolve a config knob: [Some n] is [max 0 n]; [None] defers to
-    {!env_size}. *)
 
 (** {1 Inter-run driver} *)
 

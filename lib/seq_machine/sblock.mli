@@ -107,10 +107,9 @@ val decoder : t -> pc:int -> word:int -> Mssp_isa.Instr.t option
     the engine above; what it {e can} share is the region shape, the
     page-granular store invalidation and the leave-after-a-store SMC
     rule. [Spec] is that core, parameterized over the owner's fetch
-    resolution. Owners are strictly private (one cache per task run —
-    block validity depends on the task's own write buffer), which is
-    also what keeps pooled execution race-free: no cross-domain block
-    sharing, ever. *)
+    resolution. Owners are strictly private: the machine keeps one
+    cache per slave, reused across that slave's task runs, and reports
+    every architected store to it between runs (see [Task.run]). *)
 module Spec : sig
   type sblock = {
     s_start : int;

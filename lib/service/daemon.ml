@@ -9,9 +9,8 @@
                ├─ worker × N: distill (cached) + simulate + reply
                └─ watchdog: wall-clock deadlines -> cooperative cancel
 
-   Simulations run on worker systhreads of the one service domain and
-   dispatch slave task bodies to the process-global domain pool; the
-   cooperative interrupt hook (config.interrupt) is the single cancel
+   Simulations run whole on worker systhreads of the one service domain;
+   the cooperative interrupt hook (config.interrupt) is the single cancel
    mechanism shared by deadlines and drain. All daemon state is under
    [d.m] except the admission queue and the per-job cancel cells, which
    have their own synchronization. *)
@@ -39,7 +38,6 @@ type config = {
   backoff_ms : float;
   drain_policy : drain_policy;
   log : string option;
-  default_pool : int option;
   chaos_transient : (int * float) option;
   chaos_fatal : (int * float) option;
 }
@@ -54,7 +52,6 @@ let default_config =
     backoff_ms = 5.;
     drain_policy = `Wait;
     log = None;
-    default_pool = None;
     chaos_transient = None;
     chaos_fatal = None;
   }
@@ -109,7 +106,7 @@ let resolve_plan (ps : P.plan_spec) =
       Plan.make ~policy actions)
     (surfaces [] ps.P.pl_surfaces)
 
-let job_config ?(pool = None) (spec : P.job_spec) ~fuel =
+let job_config (spec : P.job_spec) ~fuel =
   let predict =
     match spec.P.predict with
     | None -> Ok Predict.Off
@@ -129,7 +126,6 @@ let job_config ?(pool = None) (spec : P.job_spec) ~fuel =
             {
               base with
               Config.task_size = spec.P.task_size;
-              pool = (match spec.P.pool with Some _ -> spec.P.pool | None -> pool);
               predict;
               faults;
               max_cycles = fuel;
@@ -417,9 +413,7 @@ let handle_submit d conn (spec : P.job_spec) =
     match Budget.admit d.cfg.limits spec with
     | Error _overrun -> reject d conn ~client P.Over_budget
     | Ok grant -> (
-      match
-        job_config ~pool:d.cfg.default_pool spec ~fuel:grant.Budget.g_fuel
-      with
+      match job_config spec ~fuel:grant.Budget.g_fuel with
       | Error e -> reject d conn ~client (P.Bad_request e)
       | Ok base_config -> (
         Mutex.lock d.m;

@@ -1,9 +1,8 @@
 (** The simulation-job daemon: a long-lived server that accepts
     {!Protocol} jobs over a Unix-domain socket, schedules them across
-    worker threads (simulations dispatch slave task bodies to the
-    process-global domain pool, {!Mssp_exec.Pool}), and streams results
-    back — engineered so that every failure mode has a structured
-    answer and none of them takes the daemon down:
+    worker threads (each runs whole simulations, one at a time), and
+    streams results back — engineered so that every failure mode has a
+    structured answer and none of them takes the daemon down:
 
     - {b admission control}: a bounded per-client round-robin queue
       ({!Admission}); at capacity a submission is answered
@@ -41,9 +40,6 @@ type config = {
   backoff_ms : float;  (** base backoff; retry [k] waits [2^k] times it *)
   drain_policy : drain_policy;
   log : string option;  (** JSONL service-event log path *)
-  default_pool : int option;
-      (** worker domains for jobs that leave [pool] unset; [None] defers
-          to the [MSSP_POOL] environment *)
   chaos_transient : (int * float) option;
       (** TEST ONLY [(seed, p)]: each execution attempt fails with a
           transient error with probability [p] — deterministic in
@@ -99,12 +95,8 @@ val resolve_program :
   Protocol.job_spec -> (Mssp_isa.Program.t, string) result
 
 val job_config :
-  ?pool:int option ->
-  Protocol.job_spec ->
-  fuel:int ->
-  (Mssp_core.Mssp_config.t, string) result
-(** The machine config a spec runs under (no tracer/interrupt armed);
-    [pool] is the daemon-level default for specs that leave it unset.
+  Protocol.job_spec -> fuel:int -> (Mssp_core.Mssp_config.t, string) result
+(** The machine config a spec runs under (no tracer/interrupt armed).
     Errors are unresolvable predictor modes or fault surfaces. *)
 
 val distill_program : Mssp_isa.Program.t -> Mssp_distill.Distill.t

@@ -16,7 +16,6 @@ type job_spec = {
   program : program_spec;
   slaves : int;
   task_size : int;
-  pool : int option;
   predict : string option;
   fuel : int option;
   deadline_ms : int option;
@@ -30,7 +29,6 @@ let default_spec =
     program = Bench { name = "vecsum"; size = None };
     slaves = 4;
     task_size = 50;
-    pool = None;
     predict = None;
     fuel = None;
     deadline_ms = None;
@@ -102,7 +100,6 @@ let spec_to_json s =
        ("slaves", J.Int s.slaves);
        ("task_size", J.Int s.task_size);
      ]
-    @ opt "pool" (fun n -> J.Int n) s.pool
     @ opt "predict" (fun m -> J.Str m) s.predict
     @ opt "fuel" (fun n -> J.Int n) s.fuel
     @ opt "deadline_ms" (fun n -> J.Int n) s.deadline_ms
@@ -232,7 +229,6 @@ let spec_of_json j =
   let* program = program_of_json pj in
   let* slaves = int_field j "slaves" in
   let* task_size = int_field j "task_size" in
-  let* pool = opt_int j "pool" in
   let* predict = opt_str j "predict" in
   let* fuel = opt_int j "fuel" in
   let* deadline_ms = opt_int j "deadline_ms" in
@@ -250,7 +246,6 @@ let spec_of_json j =
       program;
       slaves;
       task_size;
-      pool;
       predict;
       fuel;
       deadline_ms;

@@ -6,7 +6,9 @@
     constructors below and round-trips structurally (pinned by a QCheck
     property), so a client written against this module can never
     desynchronize the stream: an unparseable line is a {!reject_reason}
-    [Bad_request], never a hang.
+    [Bad_request], never a hang. Object keys the decoder does not know
+    are ignored, so a request from an older client that still carries a
+    retired field (such as [pool]) is served as if the key were absent.
 
     Replies for different jobs interleave freely on one connection; each
     carries the job id it belongs to. Per job the daemon sends exactly
@@ -36,7 +38,6 @@ type job_spec = {
   program : program_spec;
   slaves : int;
   task_size : int;
-  pool : int option;  (** worker domains; [None] defers to the daemon *)
   predict : string option;  (** {!Mssp_predict.Predict.mode_of_string} *)
   fuel : int option;
       (** simulated-cycle budget ([max_cycles]); [None] takes the

@@ -1,24 +1,10 @@
-(* The domain pool's two contracts, pinned by test:
+(* The domain pool's inter-run contracts, pinned by test:
    - the library itself: submission order, exception transparency,
      map_runs order preservation, and helping-await (nested map_runs on
      one shared pool must not deadlock);
-   - bit-identical determinism: an MSSP run with task bodies fanned
-     across 4 worker domains produces the same cycles, stats record,
-     final architected state, event stream and attribution summary as
-     the serial event-loop path — on a fixed benchmark and on random
-     fuzz-generated programs. The fuzz driver's shard seeding is pinned
-     the same way: a --jobs 2 campaign equals the merge of its two
-     --jobs 1 shard replays. *)
+   - the fuzz driver's shard seeding: a --jobs 2 campaign equals the
+     merge of its two --jobs 1 shard replays. *)
 
-module Full = Mssp_state.Full
-module Machine = Mssp_seq.Machine
-module Profile = Mssp_profile.Profile
-module Distill = Mssp_distill.Distill
-module M = Mssp_core.Mssp_machine
-module Config = Mssp_core.Mssp_config
-module W = Mssp_workload.Workload
-module Trace = Mssp_trace.Trace
-module Gen = Mssp_fuzz.Gen
 module Driver = Mssp_fuzz.Driver
 module Pool = Mssp_exec.Pool
 
@@ -54,76 +40,6 @@ let test_nested_map_runs () =
     (Pool.map_runs ~jobs:2 inner [ 10; 20; 30; 40 ]
     = List.map inner [ 10; 20; 30; 40 ])
 
-let test_effective () =
-  check_int "Some 0 pins the serial path" 0 (Pool.effective (Some 0));
-  check_int "Some n means n workers" 3 (Pool.effective (Some 3))
-
-(* --- machine determinism: pooled == serial, bit for bit -------------- *)
-
-let distill_bench name ~size ~train =
-  let b = W.find name in
-  let program = b.W.program ~size in
-  let profile = Profile.collect (b.W.program ~size:train) in
-  Distill.distill program profile
-
-let run_recorded ~pool config d =
-  let tracer, events = Trace.recording () in
-  let r =
-    M.run
-      ~config:{ config with Config.tracer = Some tracer; pool = Some pool }
-      d
-  in
-  (events (), r)
-
-let base4 = Config.with_slaves 4 Config.default
-
-let same_run name (ev0, r0) (ev4, r4) =
-  check_int (name ^ ": cycles") r0.M.stats.M.cycles r4.M.stats.M.cycles;
-  check (name ^ ": whole stats record") true (r0.M.stats = r4.M.stats);
-  check (name ^ ": stop reason") true (r0.M.stop = r4.M.stop);
-  check (name ^ ": final architected state") true
-    (Full.equal_observable r0.M.arch r4.M.arch);
-  check_int (name ^ ": event count") (List.length ev0) (List.length ev4);
-  check (name ^ ": event stream") true (List.for_all2 Trace.event_equal ev0 ev4);
-  let s0 = Trace.Summary.of_events ev0 and s4 = Trace.Summary.of_events ev4 in
-  check_int (name ^ ": summary commits") s0.Trace.Summary.commits
-    s4.Trace.Summary.commits;
-  check_int (name ^ ": summary squashes") s0.Trace.Summary.squashes
-    s4.Trace.Summary.squashes
-
-let test_vecsum_identical () =
-  let d = distill_bench "vecsum" ~size:160 ~train:40 in
-  let cfg = { base4 with Config.task_size = 20 } in
-  same_run "vecsum" (run_recorded ~pool:0 cfg d) (run_recorded ~pool:4 cfg d)
-
-let program_arb ~min_size ~max_size =
-  let gen st =
-    let seed = Random.State.int st 0x3FFFFFFF in
-    let size = min_size + Random.State.int st (max_size - min_size + 1) in
-    Gen.generate ~seed ~size ()
-  in
-  QCheck.make ~print:Mssp_asm.Emit.program_to_source gen
-
-let qc_config = { base4 with Config.max_cycles = 100_000_000 }
-
-let prop_pool_identical =
-  QCheck.Test.make ~name:"pool: 4 workers bit-identical to serial" ~count:25
-    (program_arb ~min_size:5 ~max_size:20)
-    (fun p ->
-      let probe = Machine.run_program ~fuel:2_000_000 p in
-      match probe.Machine.stopped with
-      | Some Machine.Halted ->
-        let profile = Profile.collect ~fuel:2_000_000 p in
-        let d = Distill.distill p profile in
-        let ev0, r0 = run_recorded ~pool:0 qc_config d in
-        let ev4, r4 = run_recorded ~pool:4 qc_config d in
-        r0.M.stats = r4.M.stats
-        && r0.M.stop = r4.M.stop
-        && Full.equal_observable r0.M.arch r4.M.arch
-        && List.length ev0 = List.length ev4
-        && List.for_all2 Trace.event_equal ev0 ev4
-      | _ -> true)
-
 (* --- fuzz sharding: a parallel campaign is its shard replays ---------- *)
 
 let test_fuzz_shards_replayable () =
@@ -152,13 +68,6 @@ let () =
             test_map_runs_order;
           Alcotest.test_case "nested map_runs (helping await)" `Quick
             test_nested_map_runs;
-          Alcotest.test_case "effective size" `Quick test_effective;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "vecsum: pooled == serial" `Quick
-            test_vecsum_identical;
-          Mssp_testkit.to_alcotest prop_pool_identical;
         ] );
       ( "fuzz sharding",
         [

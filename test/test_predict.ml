@@ -6,10 +6,10 @@
    keeps predicting correctly), QCheck properties replayable under
    QCHECK_SEED, the differential suite (every workload kernel x every
    predictor mode must land bit-identical on the SEQ state — prediction
-   only moves squash rates), pool {0,4} bit-identity, and the mutation
-   smoke test: a deliberately Broken predictor (stale values, inflated
-   confidence) is absorbed, not a divergence — the detection signal is
-   the squash-rate inflation the absorbability oracle reports. *)
+   only moves squash rates), and the mutation smoke test: a deliberately
+   Broken predictor (stale values, inflated confidence) is absorbed, not
+   a divergence — the detection signal is the squash-rate inflation the
+   absorbability oracle reports. *)
 
 module Full = Mssp_state.Full
 module Fragment = Mssp_state.Fragment
@@ -495,14 +495,13 @@ let prepared name size =
   let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
   (d, profile, baseline)
 
-let run_mode ?(slaves = 4) ?(pool = None) (d, profile, _) mode =
+let run_mode ?(slaves = 4) (d, profile, _) mode =
   let config =
     {
       (Config.with_slaves slaves Config.default) with
       Config.predict = mode;
       predict_warmup =
         (if mode = Predict.Off then [] else Predict.warmup_of_profile profile);
-      pool;
     }
   in
   M.run ~config d
@@ -523,20 +522,6 @@ let test_differential_suite () =
               (r.M.stats.M.predict_hits + r.M.stats.M.predict_misses))
         Predict.modes)
     W.all
-
-let test_pool_identity () =
-  (* training and consultation happen on the event-loop domain only, so
-     a pooled run is bit-identical to the serial path: same cycles, same
-     prediction outcomes, same final state *)
-  let prep = prepared "fir" 60 in
-  let serial = run_mode ~pool:(Some 0) prep Predict.Tournament in
-  let pooled = run_mode ~pool:(Some 4) prep Predict.Tournament in
-  check_int "cycles" serial.M.stats.M.cycles pooled.M.stats.M.cycles;
-  check_int "hits" serial.M.stats.M.predict_hits pooled.M.stats.M.predict_hits;
-  check_int "misses" serial.M.stats.M.predict_misses
-    pooled.M.stats.M.predict_misses;
-  check_int "squashes" serial.M.stats.M.squashes pooled.M.stats.M.squashes;
-  check "final state" true (Full.equal_observable serial.M.arch pooled.M.arch)
 
 let test_broken_predictor_absorbed () =
   (* the mutation smoke test: Broken returns each cell's FIRST observed
@@ -587,8 +572,6 @@ let () =
         [
           Alcotest.test_case "differential: kernels x modes == SEQ" `Slow
             test_differential_suite;
-          Alcotest.test_case "pool {0,4} bit-identity" `Quick
-            test_pool_identity;
           Alcotest.test_case "broken predictor absorbed" `Quick
             test_broken_predictor_absorbed;
         ] );

@@ -11,12 +11,13 @@
      clients (a flooder cannot starve a trickler), and Queue_full at
      capacity — never a hang;
    - and the daemon itself, exercised in-process over a real socket:
-     results are bit-identical to the serial oracle, duplicates hit the
-     distillation cache, rejected jobs never execute, a deadline hit
-     yields a structured cancellation with no partial events, a
-     crashing job is isolated (the daemon keeps serving) and carries a
-     repro line, transient chaos is retried into success, and both
-     drain policies resolve every accepted job with exactly one
+     results are bit-identical to the serial oracle, a request carrying
+     the retired [pool] key is served as if it were absent, duplicates
+     hit the distillation cache, rejected jobs never execute, a
+     deadline hit yields a structured cancellation with no partial
+     events, a crashing job is isolated (the daemon keeps serving) and
+     carries a repro line, transient chaos is retried into success, and
+     both drain policies resolve every accepted job with exactly one
      terminal reply. *)
 
 module P = Mssp_service.Protocol
@@ -27,6 +28,7 @@ module Daemon = Mssp_service.Daemon
 module Client = Mssp_service.Client
 module Loadtest = Mssp_service.Loadtest
 module Trace = Mssp_trace.Trace
+module J = Mssp_trace.Tjson
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -55,9 +57,6 @@ let daemon_cfg ?(queue_cap = 64) ?(workers = 2) ?(retries = 3)
     drain_policy;
     chaos_transient;
     chaos_fatal;
-    (* jobs that leave [pool] unset run serial task bodies: the tests
-       care about the service layer, not domain fan-out *)
-    default_pool = Some 0;
   }
 
 (* [stop] is part of several tests' assertions, so [f] receives the
@@ -78,7 +77,6 @@ let gen_spec ?(client = "t") ?(seed = 1) ?(size = 60) ?fuel ?deadline_ms
     P.default_spec with
     P.client;
     program = P.Gen { seed; size };
-    pool = Some 0;
     fuel;
     deadline_ms;
     stream_events = stream;
@@ -104,7 +102,6 @@ let gen_job_spec =
     let* program = gen_program_spec in
     let* slaves = int_range 1 16 in
     let* task_size = int_range 1 200 in
-    let* pool = option (int_range 0 8) in
     let* predict = option (oneofl [ "off"; "last"; "stride" ]) in
     let* fuel = option (int_range 1 1_000_000) in
     let* deadline_ms = option (int_range 1 10_000) in
@@ -124,7 +121,6 @@ let gen_job_spec =
         program;
         slaves;
         task_size;
-        pool;
         predict;
         fuel;
         deadline_ms;
@@ -409,26 +405,64 @@ let lookup stats k =
   | Some v -> v
   | None -> Alcotest.fail (Printf.sprintf "no %s counter" k)
 
-let test_daemon_result_matches_oracle () =
-  with_daemon (daemon_cfg ()) @@ fun d ->
-  with_client (Daemon.socket d) @@ fun c ->
-  let spec = gen_spec ~seed:11 ~size:80 () in
+let same_result (o : P.job_result) (r : P.job_result) =
+  check_int "cycles" o.P.cycles r.P.cycles;
+  check_int "instructions" o.P.instructions r.P.instructions;
+  check_int "tasks committed" o.P.tasks_committed r.P.tasks_committed;
+  check_int "squashes" o.P.squashes r.P.squashes;
+  check "output" true (o.P.output = r.P.output);
+  check_string "stop" o.P.stop r.P.stop;
+  check_string "state digest" o.P.state_digest r.P.state_digest
+
+let submit_result c spec =
   match Client.submit c spec with
   | Error r -> Alcotest.fail (P.reject_string r)
   | Ok job -> (
     match Client.await c job with
-    | Client.Result r, _ -> (
-      match Daemon.run_inproc spec with
-      | Error e -> Alcotest.fail e
-      | Ok o ->
-        check_int "cycles" o.P.cycles r.P.cycles;
-        check_int "instructions" o.P.instructions r.P.instructions;
-        check_int "tasks committed" o.P.tasks_committed r.P.tasks_committed;
-        check_int "squashes" o.P.squashes r.P.squashes;
-        check "output" true (o.P.output = r.P.output);
-        check_string "stop" o.P.stop r.P.stop;
-        check_string "state digest" o.P.state_digest r.P.state_digest)
+    | Client.Result r, _ -> r
     | _ -> Alcotest.fail "expected a Result terminal")
+
+let test_daemon_result_matches_oracle () =
+  with_daemon (daemon_cfg ()) @@ fun d ->
+  with_client (Daemon.socket d) @@ fun c ->
+  let spec = gen_spec ~seed:11 ~size:80 () in
+  let r = submit_result c spec in
+  match Daemon.run_inproc spec with
+  | Error e -> Alcotest.fail e
+  | Ok o -> same_result o r
+
+(* wire compatibility: a Submit line from an older client still carries
+   the retired [pool] key. The decoder ignores it — even a malformed
+   value — and the job's Result equals the same job without the key. *)
+let test_daemon_ignores_retired_pool_key () =
+  let spec = gen_spec ~seed:13 ~size:60 () in
+  let line_with pool =
+    match P.request_to_json (P.Submit spec) with
+    | J.Obj [ op; ("spec", J.Obj fields) ] ->
+      let spec = J.Obj (fields @ [ ("pool", pool) ]) in
+      J.to_string (J.Obj [ op; ("spec", spec) ])
+    | _ -> Alcotest.fail "unexpected Submit encoding"
+  in
+  check "malformed pool decodes" true
+    (P.parse_request (line_with (J.Str "x")) = Ok (P.Submit spec));
+  with_daemon (daemon_cfg ()) @@ fun d ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX (Daemon.socket d));
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  output_string oc (line_with (J.Int 4) ^ "\n");
+  flush oc;
+  let rec terminal () =
+    match P.parse_reply (input_line ic) with
+    | Ok (P.Accepted _ | P.Event _) -> terminal ()
+    | Ok (P.Result { r; _ }) -> r
+    | Ok reply -> Alcotest.fail (J.to_string (P.reply_to_json reply))
+    | Error e -> Alcotest.fail e
+  in
+  let legacy = terminal () in
+  with_client (Daemon.socket d) @@ fun c ->
+  same_result (submit_result c spec) legacy
 
 let test_daemon_duplicate_hits_cache () =
   with_daemon (daemon_cfg ()) @@ fun d ->
@@ -707,6 +741,8 @@ let () =
         [
           Alcotest.test_case "result matches the serial oracle" `Quick
             test_daemon_result_matches_oracle;
+          Alcotest.test_case "retired pool key is ignored" `Quick
+            test_daemon_ignores_retired_pool_key;
           Alcotest.test_case "duplicate submission hits the cache" `Quick
             test_daemon_duplicate_hits_cache;
           Alcotest.test_case "rejected jobs never execute" `Quick

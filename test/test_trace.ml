@@ -55,15 +55,11 @@ let distill_bench name ~size ~train =
 
 let base2 = Config.with_slaves 2 Config.default
 
-(* [pool = None] defers to MSSP_POOL (absent = serial), so the default
-   suite follows the CI matrix leg; [golden_cases_at (Some 4)] pins the
-   pooled path against the same committed traces — the bit-identity
-   contract of lib/exec, enforced on every runtest. [~reference:true]
-   replays every case on the single-step slave and recovery executor
-   ([Mssp_machine.run ~reference]), so the fast engine and its oracle
-   are both checked against the committed streams on every runtest. *)
-let golden_cases_at ?(reference = false) pool =
-  let base2 = { base2 with Config.pool } in
+(* [~reference:true] replays every case on the single-step slave and
+   recovery executor ([Mssp_machine.run ~reference]), so the fast engine
+   and its oracle are both checked against the committed streams on
+   every runtest. *)
+let golden_cases_with ~reference =
   let run_traced ~config d = run_traced ~reference ~config d in
   [
     ( "vecsum",
@@ -127,9 +123,7 @@ let golden_cases_at ?(reference = false) pool =
     (* a stride-friendly kernel under the tournament live-in predictor,
        warmed from the training profile: pins the [Predict_outcome]
        event serialization (hit/miss attribution right after each
-       Verify) and the determinism of prediction itself — training and
-       consultation happen on the event-loop domain only, so the stream
-       is bit-identical at every pool size *)
+       Verify) and the determinism of prediction itself *)
     ( "predicted_stride",
       fun () ->
         let b = W.find "fir" in
@@ -146,7 +140,7 @@ let golden_cases_at ?(reference = false) pool =
           (Distill.distill program profile) );
   ]
 
-let golden_cases = golden_cases_at None
+let golden_cases = golden_cases_with ~reference:false
 
 (* --- golden replay / promotion ---------------------------------------
 
@@ -456,28 +450,22 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (test_golden case))
           golden_cases );
-      (* the same committed traces must fall out of the pooled engine:
-         promotion is skipped here (the serial suite owns the files) *)
-      ( "golden (pool 4)",
-        List.map
-          (fun (name, _ as case) ->
-            Alcotest.test_case name `Quick (fun () ->
-                if not promote then test_golden case ()))
-          (golden_cases_at (Some 4)) );
-      (* and out of the single-step reference executor: the fast
-         engine's staged first-read stream and its oracle's serial one
-         must replay into the same committed event streams — including
-         the predicted_stride predictor-outcome events, which train
-         from the verification-order stream. The longest group label
-         sets where Alcotest cuts long test names in every group of
-         this suite: this one is kept at 22 characters so the printed
-         names stay stable. *)
+      (* the same committed traces must fall out of the single-step
+         reference executor (promotion is skipped here: the group above
+         owns the files): the fast engine's staged first-read stream and
+         its oracle's serial one must replay into the same committed
+         event streams — including the predicted_stride
+         predictor-outcome events, which train from the
+         verification-order stream. The longest group label sets where
+         Alcotest cuts long test names in every group of this suite:
+         this one is kept at 22 characters so the printed names stay
+         stable. *)
       ( "golden (reference run)",
         List.map
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
-          (golden_cases_at ~reference:true None) );
+          (golden_cases_with ~reference:true) );
       ( "attribution",
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
