@@ -93,6 +93,9 @@ clean:
 	dune clean
 
 # lines of OCaml in the tracked tree (build outputs and the benchmark's
-# .bench_build/ copy are untracked, so they never count)
+# .bench_build/ copy are untracked, so they never count); outside a git
+# checkout there is no tracked tree to count, and the target fails
 loc:
-	@git ls-files '*.ml' '*.mli' | xargs wc -l | tail -1
+	@files=$$(git ls-files '*.ml' '*.mli' 2>/dev/null) || { \
+	  echo "loc: git ls-files failed (not a git checkout?)" >&2; exit 1; }; \
+	echo "$$files" | xargs wc -l | tail -1

@@ -7,86 +7,7 @@ module Program = Mssp_isa.Program
 module Reg = Mssp_isa.Reg
 module Distill = Mssp_distill.Distill
 module Hierarchy = Mssp_cache.Cache.Hierarchy
-
-(* The store buffer: the last value the master stored to each address
-   since the last checkpoint. Distinct addresses sit in a log in
-   first-store order ([addrs]/[vals]); an open-addressed index over the
-   log finds an address in O(1). A slot is live iff its [stamp] equals
-   [gen], so [clear] is O(1). Nothing allocates once the arrays have
-   grown to the largest inter-checkpoint footprint. *)
-module Stores = struct
-  type t = {
-    mutable addrs : int array;
-    mutable vals : int array;
-    mutable n : int;
-    mutable slot_pos : int array;  (* log position of a live slot *)
-    mutable stamp : int array;
-    mutable gen : int;
-  }
-
-  let create () =
-    {
-      addrs = Array.make 64 0;
-      vals = Array.make 64 0;
-      n = 0;
-      slot_pos = Array.make 128 0;
-      stamp = Array.make 128 0;
-      gen = 1;
-    }
-
-  let[@inline] hash a mask = ((a * 0x9E3779B1) lsr 15) land mask
-
-  let rec slot t a i =
-    if Array.unsafe_get t.stamp i <> t.gen then i
-    else if Array.unsafe_get t.addrs (Array.unsafe_get t.slot_pos i) = a then i
-    else slot t a ((i + 1) land (Array.length t.stamp - 1))
-
-  (* double both the log and the index (kept at most half full) *)
-  let grow t =
-    let cap = 2 * Array.length t.addrs in
-    let resize a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 t.n;
-      b
-    in
-    t.addrs <- resize t.addrs;
-    t.vals <- resize t.vals;
-    t.slot_pos <- Array.make (2 * cap) 0;
-    t.stamp <- Array.make (2 * cap) 0;
-    let mask = (2 * cap) - 1 in
-    for k = 0 to t.n - 1 do
-      let a = t.addrs.(k) in
-      let i = slot t a (hash a mask) in
-      t.stamp.(i) <- t.gen;
-      t.slot_pos.(i) <- k
-    done
-
-  let add t a v =
-    let i = slot t a (hash a (Array.length t.stamp - 1)) in
-    if Array.unsafe_get t.stamp i = t.gen then
-      Array.unsafe_set t.vals (Array.unsafe_get t.slot_pos i) v
-    else begin
-      let k = t.n in
-      Array.unsafe_set t.stamp i t.gen;
-      Array.unsafe_set t.slot_pos i k;
-      Array.unsafe_set t.addrs k a;
-      Array.unsafe_set t.vals k v;
-      t.n <- k + 1;
-      if t.n = Array.length t.addrs then grow t
-    end
-
-  let clear t =
-    t.gen <- t.gen + 1;
-    t.n <- 0
-
-  let fold_into t f =
-    let f = ref f in
-    for k = 0 to t.n - 1 do
-      f := Fragment.add (Cell.Mem t.addrs.(k)) t.vals.(k) !f
-    done;
-    clear t;
-    !f
-end
+module Journal = Mssp_task.Journal
 
 type t = {
   mutable state : Full.t;
@@ -95,7 +16,11 @@ type t = {
          cumulative, so a checkpoint's live-in prediction covers
          everything the slave may need from any older in-flight task (the
          hardware's speculative version forwarding) *)
-  stores : Stores.t;  (* stores since the last checkpoint *)
+  stores : Journal.t;
+      (* the store buffer: the last value stored to each address since
+         the last checkpoint, in first-store order; nothing allocates
+         once its log has grown to the largest inter-checkpoint
+         footprint *)
   track_stores : bool;
       (* whether checkpoints carry [dirty]; in control-only and isolated
          modes nothing is buffered at all *)
@@ -135,7 +60,7 @@ let flatten_pc_map (d : Distill.t) =
 let reseed m arch ~pc =
   m.state <- Full.copy arch;
   m.dirty <- Fragment.empty;
-  Stores.clear m.stores;
+  Journal.clear m.stores;
   m.since_cp <- m.config.Mssp_config.task_size (* fork at the first marker *);
   Hashtbl.reset m.passes;
   Full.set_pc m.state pc
@@ -146,7 +71,7 @@ let create ~config ~cache ~decode (d : Distill.t) arch =
     {
       state = arch;
       dirty = Fragment.empty;
-      stores = Stores.create ();
+      stores = Journal.create ~mem_size:64 ();
       track_stores =
         not (config.Mssp_config.control_only_master || config.isolated_slaves);
       since_cp = 0;
@@ -168,7 +93,7 @@ let state m = m.state
 let retired m = m.retired
 let dirty m = m.dirty
 let fork_entry m = m.fork_entry
-let buffered m = m.stores.Stores.n
+let buffered m = Journal.mem_count m.stores
 let dead = -2
 let fork = -1
 
@@ -192,7 +117,7 @@ let redirect m pc =
 
 let[@inline] store m a v =
   Full.set_mem m.state a v;
-  if m.track_stores then Stores.add m.stores a v
+  if m.track_stores then Journal.set_mem m.stores a v
 
 let step m =
   let s = m.state in
@@ -271,7 +196,10 @@ let checkpoint m e =
   if cfg.Mssp_config.control_only_master then Fragment.singleton Cell.Pc e
   else if cfg.isolated_slaves then Fragment.add Cell.Pc e (Full.snapshot m.state)
   else begin
-    m.dirty <- Stores.fold_into m.stores m.dirty;
+    Journal.iter_mem
+      (fun a v -> m.dirty <- Fragment.add (Cell.Mem a) v m.dirty)
+      m.stores;
+    Journal.clear m.stores;
     let f = ref (Fragment.add Cell.Pc e m.dirty) in
     for i = 1 to Reg.count - 1 do
       let r = Reg.of_int i in

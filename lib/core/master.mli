@@ -11,10 +11,12 @@
     [test/test_master.ml] runs this step against an [Exec.step_with]
     master instruction by instruction.
 
-    Memory the master stores goes into a flat store buffer (last value
-    per address, O(1) per store) and is folded into the cumulative dirty
-    fragment only when a checkpoint is built — the fragment every
-    checkpoint shares by reference (HACKING.md invariant 3). *)
+    Memory the master stores goes into a store buffer — a
+    {!Mssp_task.Journal.t}, the same address log slaves journal into:
+    last value per address, O(1) per store — and is folded into the
+    cumulative dirty fragment only when a checkpoint is built, the
+    fragment every checkpoint shares by reference (HACKING.md invariant
+    3). *)
 
 type t
 

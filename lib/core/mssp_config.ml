@@ -46,7 +46,6 @@ type t = {
   liveness_window : int option;
   adaptive_backoff : bool;
   quarantine_after : int;
-  record_tasks : bool;
   predict : Mssp_predict.Predict.mode;
   predict_seed : int;
   predict_warmup : (int * int list) list;
@@ -79,7 +78,6 @@ let default =
     liveness_window = None;
     adaptive_backoff = false;
     quarantine_after = 0;
-    record_tasks = true;
     predict = Mssp_predict.Predict.Off;
     predict_seed = 0x5bd1e995;
     predict_warmup = [];

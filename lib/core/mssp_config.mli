@@ -96,7 +96,6 @@ type t = {
           benched for the rest of the run — except the last healthy
           slave, which is never benched. [0] (the default) disables
           quarantine; it only engages when [faults] is set. *)
-  record_tasks : bool;  (** keep per-task size/live-in lists in stats *)
   predict : Mssp_predict.Predict.mode;
       (** live-in value predictor consulted at checkpoint construction
           ({!Mssp_predict.Predict}): [Off] (the default) compiles every

@@ -22,7 +22,26 @@
     latencies. Timing therefore models: master speed (with private L1),
     checkpoint transfer, slave execution (with private L1), architected
     (shared L2) access, verification/commit serialization, and squash/
-    restart penalties. *)
+    restart penalties.
+
+    {b Seam map.} The machine's state is one record
+    ([Machine_state.t]); three seams transition it, and none of them
+    schedules an event:
+    - {!Window}: the checkpoint window — fork and spawn (spawn-path
+      faults, predictor refinement, live-in corruption), parking the
+      master on a full window, slave choice and quarantine, and
+      dispatch: a task body runs when its slave starts it.
+    - {!Verify_commit}: the in-order head check, predictor training,
+      the commit (and its store notifications to the block caches), the
+      chaos commit, transient-verify retries, and the verify/commit
+      cost.
+    - {!Recovery}: squash accounting, the dual-mode burst and its
+      adaptive backoff, the recovery segment on the block engine or the
+      reference executor, and the master's reseed.
+    This module's [run] drives them: it alone schedules events, turning
+    each seam's answer into the next step of
+    master run → fork → dispatch → commit → squash → recovery →
+    master run, and it runs the liveness watchdog. *)
 
 type squash_reason =
   | Live_in_mismatch  (** recorded live-ins ≠ architected state *)
@@ -69,7 +88,7 @@ type stats = {
           verification, over examined head tasks (predictor enabled) *)
   mutable predict_misses : int;
   mutable slave_busy_cycles : int;
-  mutable task_sizes : int list;  (** committed task lengths (if recorded) *)
+  mutable task_sizes : int list;  (** committed task lengths *)
   mutable live_in_counts : int list;  (** recorded live-ins per committed task *)
 }
 

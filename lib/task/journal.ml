@@ -3,8 +3,8 @@ module Fragment = Mssp_state.Fragment
 module Reg = Mssp_isa.Reg
 
 (* Memory bindings live in an insertion-order log ([addrs]/[vals]) with
-   an open-addressed index over it, the layout of the master's store
-   buffer. The log is what makes the journal's iteration order a
+   an open-addressed index over it; the master's store buffer is one of
+   these journals. The log is what makes the journal's iteration order a
    *contract* rather than an accident of hashing: a reads journal
    replays its first-reads in serial first-read order at verification
    time, whatever mixture of per-instruction recording and block-batched
@@ -120,6 +120,20 @@ let set_mem j a v =
 let record_mem j a v =
   let s = slot_of j a in
   if Array.unsafe_get j.index s < 0 then append j s a v
+
+(* Empty the journal, keeping its grown arrays. Only the index slots the
+   log used are reset, newest binding first: a binding's probe chain
+   runs only through the slots of bindings logged before it, so each
+   address still finds its own slot. O(bindings), not O(capacity). *)
+let clear j =
+  for k = j.n - 1 downto 0 do
+    Array.unsafe_set j.index (slot_of j (Array.unsafe_get j.addrs k)) (-1)
+  done;
+  j.n <- 0;
+  j.pc_set <- false;
+  j.reg_mask <- 0;
+  j.mem_lo <- max_int;
+  j.mem_hi <- min_int
 
 (* conservative O(1) span test off the bounds above: [true] guarantees
    no memory binding lies in [lo, hi] (inclusive) — the block executor's

@@ -81,6 +81,12 @@ val mem_avoids : t -> lo:int -> hi:int -> bool
     bound inside". The block executor uses it to decide whether a code
     span could be shadowed by a task's write buffer. *)
 
+val clear : t -> unit
+(** Unbind everything, keeping the capacity the log has grown to: a
+    cleared journal behaves exactly like a fresh one. [O(bindings)] —
+    only the index slots the log used are reset — and allocation-free,
+    so one journal can be reused across tasks or checkpoints. *)
+
 (* generic cell interface *)
 
 val set : t -> Mssp_state.Cell.t -> int -> unit

@@ -315,6 +315,125 @@ let test_task_size_knob () =
   check "larger knob, fewer tasks" true
     (large.M.stats.M.tasks_committed < small.M.stats.M.tasks_committed)
 
+(* --- the seams, one transition at a time, on a machine state built
+   for a small package and driven by hand (no event is run) --- *)
+
+module S = Mssp_core.Machine_state
+module Window = Mssp_core.Window
+module Verify_commit = Mssp_core.Verify_commit
+module Recovery = Mssp_core.Recovery
+module Cell = Mssp_state.Cell
+module Fragment = Mssp_state.Fragment
+
+let seam_state config =
+  S.create ~reference:false config (distill_of small_program)
+
+let no_faults = Some (Plan.make [])
+
+let test_window_parks_and_reoffers () =
+  let st = seam_state { Config.default with Config.max_in_flight = 1 } in
+  let li = Fragment.singleton Cell.Pc 0 in
+  check "first fork spawns" true (Window.offer st 0x10 li = Window.Spawned);
+  check "full window parks" true (Window.offer st 0x20 li = Window.Parked);
+  check "the fork is held" true (st.S.master_pending <> None);
+  check_int "one checkpoint" 1 (Queue.length st.S.window);
+  check "still full: parked again" true (Window.unpark st = Window.Parked);
+  ignore (Queue.pop st.S.window : S.checkpoint) (* the head commits *);
+  check "a commit re-offers it" true (Window.unpark st = Window.Spawned);
+  check_int "its checkpoint joined" 0x20 (Queue.peek st.S.window).S.cp_entry;
+  check "nothing held" true (st.S.master_pending = None);
+  check "nothing left to re-offer" true (Window.unpark st = Window.Parked)
+
+let test_quarantine_spares_last_slave () =
+  let st =
+    seam_state
+      { (Config.with_slaves 2 Config.default) with
+        Config.quarantine_after = 1;
+        faults = no_faults;
+      }
+  in
+  Window.blame st (-1);
+  check "no slave, no blame" false (st.S.quarantined.(0) || st.S.quarantined.(1));
+  Window.blame st 0;
+  check "slave 0 benched" true st.S.quarantined.(0);
+  check_int "dispatch skips it" 1 (Window.free_slave st);
+  Window.blame st 1;
+  Window.blame st 1;
+  check "the last healthy slave stays" false st.S.quarantined.(1);
+  check_int "one quarantined" 1 st.S.stats.S.slaves_quarantined;
+  check_int "one healthy" 1 st.S.healthy_slaves
+
+let test_burst_backoff_caps () =
+  let config =
+    {
+      Config.default with
+      Config.dual_mode = true;
+      dual_trigger = 2;
+      dual_burst = 10;
+      adaptive_backoff = true;
+    }
+  in
+  let st = seam_state config in
+  st.S.fruitless_squashes <- 1;
+  check_int "below the trigger: no burst" 0 (Recovery.burst st);
+  st.S.fruitless_squashes <- 2;
+  Alcotest.(check (list int))
+    "doubling, capped at 64x"
+    [ 10; 20; 40; 80; 160; 320; 640; 640; 640 ]
+    (List.init 9 (fun _ -> Recovery.burst st));
+  st.S.burst_streak <- 0 (* a commit *);
+  check_int "a commit starts over" 10 (Recovery.burst st);
+  let flat = seam_state { config with Config.adaptive_backoff = false } in
+  flat.S.fruitless_squashes <- 2;
+  Alcotest.(check (list int))
+    "without backoff, flat" [ 10; 10; 10 ]
+    (List.init 3 (fun _ -> Recovery.burst flat))
+
+let test_commit_cost () =
+  let t =
+    {
+      Config.default_timing with
+      Config.verify_base = 5;
+      verify_per_live_in = 3;
+      verify_parallelism = 8;
+      commit_base = 7;
+      commit_per_live_out = 2;
+      commit_parallelism = 4;
+    }
+  in
+  let cost = Verify_commit.cost t in
+  check_int "nothing to check" 12 (cost ~live_ins:0 ~live_outs:0);
+  check_int "one of each" (12 + 3 + 2) (cost ~live_ins:1 ~live_outs:1);
+  check_int "exact multiples" (12 + 3 + 2) (cost ~live_ins:8 ~live_outs:4);
+  check_int "rounded up" (12 + 6 + 4) (cost ~live_ins:9 ~live_outs:5);
+  check_int "parallelism 0 counts as 1" (12 + 9 + 2)
+    (Verify_commit.cost { t with Config.verify_parallelism = 0 } ~live_ins:3
+       ~live_outs:1)
+
+let test_transient_retry_defers () =
+  let plan =
+    Plan.make [ Plan.action Plan.Verify_transient ~seed:1 ~p:1.0 ]
+  in
+  let st = seam_state { Config.default with Config.faults = Some plan } in
+  let backoff = st.S.policy.Plan.verify_backoff in
+  let cp =
+    S.checkpoint ~id:0 ~entry:0 ~live_in:Fragment.empty
+      ~master_li:Fragment.empty ~extra:0
+  in
+  cp.S.cp_finished <- true;
+  Queue.add cp st.S.window;
+  check_int "a transient error defers the head" Verify_commit.retry
+    (Verify_commit.examine st);
+  check_int "backoff" backoff (Verify_commit.backoff st cp);
+  check_int "a same-instant kick is idle" Verify_commit.idle
+    (Verify_commit.examine st);
+  check_int "and did not re-roll" 1 st.S.stats.S.faults_injected;
+  Verify_commit.resume cp;
+  check_int "the retry rolls again" Verify_commit.retry
+    (Verify_commit.examine st);
+  check_int "backoff doubles" (2 * backoff) (Verify_commit.backoff st cp);
+  check_int "two retries" 2 st.S.stats.S.verify_retries
+
 let () =
   Alcotest.run "machine"
     [
@@ -346,5 +465,18 @@ let () =
           Alcotest.test_case "dual mode floor" `Quick test_dual_mode_restores_floor;
           Alcotest.test_case "trace well-formed" `Quick test_trace_well_formed;
           Alcotest.test_case "control-only mode" `Quick test_control_only_mode_correct;
+        ] );
+      ( "seams",
+        [
+          Alcotest.test_case "window: a full window parks, a commit re-offers"
+            `Quick test_window_parks_and_reoffers;
+          Alcotest.test_case "window: quarantine spares the last slave" `Quick
+            test_quarantine_spares_last_slave;
+          Alcotest.test_case "recovery: burst backoff doubles to 64x" `Quick
+            test_burst_backoff_caps;
+          Alcotest.test_case "verify/commit: cost rounds up per lane" `Quick
+            test_commit_cost;
+          Alcotest.test_case "verify/commit: a transient retry defers the head"
+            `Quick test_transient_retry_defers;
         ] );
     ]

@@ -365,9 +365,14 @@ let prop_journal_set_find_matches_fragment =
    bind / stage / probe sequences long enough to grow the log past four
    doublings, over addresses that are negative, beyond the 16M-word
    paged span, and rebound, from capacity hints that are mostly not
-   powers of two --- *)
+   powers of two; now and then the journal is cleared and reused, and
+   must then behave like a fresh one --- *)
 
-type journal_op = Set_mem of int * int | Record_mem of int * int | Find of int
+type journal_op =
+  | Set_mem of int * int
+  | Record_mem of int * int
+  | Find of int
+  | Clear
 
 let arbitrary_journal_run =
   let open QCheck.Gen in
@@ -385,15 +390,17 @@ let arbitrary_journal_run =
   let op =
     frequency
       [
-        (3, map2 (fun a v -> Set_mem (a, v)) addr small_int);
-        (3, map2 (fun a v -> Record_mem (a, v)) addr small_int);
-        (2, map (fun a -> Find a) addr);
+        (120, map2 (fun a v -> Set_mem (a, v)) addr small_int);
+        (120, map2 (fun a v -> Record_mem (a, v)) addr small_int);
+        (80, map (fun a -> Find a) addr);
+        (1, return Clear);
       ]
   in
   let show = function
     | Set_mem (a, v) -> Printf.sprintf "set %d %d" a v
     | Record_mem (a, v) -> Printf.sprintf "record %d %d" a v
     | Find a -> Printf.sprintf "find %d" a
+    | Clear -> "clear"
   in
   QCheck.make
     ~print:(fun (hint, ops) ->
@@ -407,8 +414,10 @@ let prop_journal_memory_matches_model =
     ~name:"journal memory = fragment model (growth, rebinding, order)"
     ~count:200 arbitrary_journal_run (fun (mem_size, ops) ->
       let j = Journal.create ?mem_size () in
-      (* the model: values in a fragment, first-binding order in a list *)
+      (* the model: values in a fragment, first-binding order in a list;
+         and a fresh journal given the operations since the last clear *)
       let model = ref Fragment.empty and order = ref [] in
+      let fresh = ref (Journal.create ?mem_size ()) in
       let bind a v ~first_wins =
         let c = Cell.mem a in
         if not (Fragment.mem c !model) then begin
@@ -431,13 +440,21 @@ let prop_journal_memory_matches_model =
           (function
             | Set_mem (a, v) ->
               Journal.set_mem j a v;
+              Journal.set_mem !fresh a v;
               bind a v ~first_wins:false;
               probe_ok a
             | Record_mem (a, v) ->
               Journal.record_mem j a v;
+              Journal.record_mem !fresh a v;
               bind a v ~first_wins:true;
               probe_ok a
-            | Find a -> probe_ok a)
+            | Find a -> probe_ok a
+            | Clear ->
+              Journal.clear j;
+              fresh := Journal.create ?mem_size ();
+              model := Fragment.empty;
+              order := [];
+              Journal.mem_count j = 0 && Journal.cardinal j = 0)
           ops
       in
       let expected =
@@ -445,12 +462,16 @@ let prop_journal_memory_matches_model =
           (fun a -> (a, Option.get (Fragment.find_opt (Cell.mem a) !model)))
           !order
       in
-      let walked = ref [] in
-      Journal.iter_mem (fun a v -> walked := (a, v) :: !walked) j;
+      let walk j =
+        let walked = ref [] in
+        Journal.iter_mem (fun a v -> walked := (a, v) :: !walked) j;
+        List.rev !walked
+      in
       let lo = List.fold_left (fun m (a, _) -> min m a) max_int expected
       and hi = List.fold_left (fun m (a, _) -> max m a) min_int expected in
       steps_ok
-      && List.rev !walked = expected
+      && walk j = expected
+      && walk !fresh = expected
       && Journal.mem_count j = List.length expected
       && Journal.cardinal j = List.length expected
       && Journal.for_all_mem
