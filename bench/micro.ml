@@ -99,7 +99,7 @@ let task_entry = counting_loop.Mssp_isa.Program.entry
 let task_view = Task.Fallback task_arch
 
 let task_live_in =
-  Fragment.of_list
+  Mssp_state.Live_in.of_fragment @@ Fragment.of_list
     [ (Cell.Reg Mssp_asm.Regs.t0, 16); (Cell.Reg Mssp_asm.Regs.t1, 0) ]
 
 let test_task_run =
@@ -243,7 +243,7 @@ let run_slave_body ~reference () =
   let t =
     Task.make ~id:0 ~start_pc:slave_entry ~end_pc:None ~end_occurrence:1
       ~budget:(slave_body_instrs + 8)
-      ~live_in:(Fragment.of_list []) ()
+      ~live_in:Mssp_state.Live_in.empty ()
   in
   let dt, status =
     Guard.time (fun () ->

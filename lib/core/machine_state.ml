@@ -6,12 +6,14 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Full = Mssp_state.Full
+module Live_in = Mssp_state.Live_in
 module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
 module Sblock = Mssp_seq.Sblock
 module Program = Mssp_isa.Program
 module Instr = Mssp_isa.Instr
 module Task = Mssp_task.Task
+module Journal = Mssp_task.Journal
 module Distill = Mssp_distill.Distill
 module Sim = Mssp_sim_engine.Sim
 module Hierarchy = Mssp_cache.Cache.Hierarchy
@@ -132,19 +134,21 @@ type result = {
 type checkpoint = {
   cp_id : int;
   cp_entry : int;
-  cp_live_in : Fragment.t;
-  cp_master_li : Fragment.t;
+  cp_live_in : Live_in.t;
+  cp_master_li : Live_in.t;
       (** the master's own live-in prediction, before predictor
           refinement and fault injection — what the master-confidence
-          attribution scores at verify time. The same fragment as
-          [cp_live_in] (shared reference, no cost) when no predictor is
-          refining *)
+          attribution scores at verify time. The same live-in as
+          [cp_live_in] (shared reference, no cost) when no predictor
+          override or fault touched it *)
   mutable cp_end : int option;
   mutable cp_end_occurrence : int;
       (** which arrival at [cp_end] is the boundary: the master's count
           of its own passes over that marker within this task *)
   mutable cp_end_known : bool;
   mutable cp_task : Task.t option;
+      (** its journals return to the machine's free list, and the field
+          to [None], when the checkpoint leaves the window ({!leave}) *)
   mutable cp_finished : bool;
   cp_extra : int;
       (** extra spawn-path latency from fault-plan delivery faults
@@ -177,8 +181,8 @@ let checkpoint ~id ~entry ~live_in ~master_li ~extra =
 (* "no checkpoint": what a seam answers instead of an option, so that
    answering allocates nothing *)
 let no_checkpoint =
-  checkpoint ~id:(-1) ~entry:0 ~live_in:Fragment.empty
-    ~master_li:Fragment.empty ~extra:0
+  checkpoint ~id:(-1) ~entry:0 ~live_in:Live_in.empty
+    ~master_li:Live_in.empty ~extra:0
 
 (* The executors slave bodies and recovery segments run on, chosen once
    per run. [Engines]: task bodies execute from per-slave superblock
@@ -214,19 +218,23 @@ type t = {
   master : Master.t;
   master_cache : Hierarchy.t;  (* owns the shared L2 *)
   mutable master_dead : bool;
-  mutable master_pending : (int * Fragment.t) option;
+  mutable master_pending : (int * Live_in.t) option;
       (* the fork the master is parked on while the window is full:
          entry and live-in *)
   slave_caches : Hierarchy.t array;  (* private L1s over the shared L2 *)
   slave_free : bool array;
-  slave_live_ins : int array;
-      (* memory live-in count of each slave's last task: sizes the next
-         task's first-read journal (capacity only, never observable) *)
   quarantined : bool array;  (* a benched slave is never assigned again *)
   slave_streak : int array;
       (* consecutive head squashes of a slave's tasks, no commit between *)
   mutable healthy_slaves : int;
   window : checkpoint Queue.t;
+  mutable spare : Journal.t array;
+  mutable spare_n : int;
+      (* the free list of cleared task journals: [spare.(0 .. spare_n -
+         1)]. A started task takes its reads and writes journals here,
+         and they come back only when its checkpoint leaves the window
+         ({!leave}); at most two per window slot are ever out, and each
+         keeps the arrays it grew *)
   mutable last_cp : checkpoint option;
   mutable next_cp_id : int;
   predictor : Predict.t option;
@@ -324,11 +332,12 @@ let create ~reference (cfg : Mssp_config.t) (d : Distill.t) =
       Array.init cfg.slaves (fun _ ->
           Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ());
     slave_free = Array.make cfg.slaves true;
-    slave_live_ins = Array.make cfg.slaves 0;
     quarantined = Array.make cfg.slaves false;
     slave_streak = Array.make cfg.slaves 0;
     healthy_slaves = cfg.slaves;
     window = Queue.create ();
+    spare = [||];
+    spare_n = 0;
     last_cp = None;
     next_cp_id = 0;
     predictor;
@@ -377,14 +386,44 @@ let fires st surface name task =
 (* The memory binding a fault lands on: the [k mod n]-th of a fragment's
    [n] memory bindings, counted from the highest address. *)
 let pick_mem f k =
-  match
-    Fragment.fold
-      (fun c v acc ->
-        match c with Cell.Mem a -> (a, v) :: acc | Cell.Pc | Cell.Reg _ -> acc)
-      f []
-  with
-  | [] -> None
-  | l -> Some (List.nth l (k mod List.length l))
+  let _, mem = Fragment.split_mem f in
+  let n = Fragment.cardinal mem in
+  if n = 0 then None
+  else
+    match Fragment.nth mem (n - 1 - (k mod n)) with
+    | Cell.Mem a, v -> Some (a, v)
+    | (Cell.Pc | Cell.Reg _), _ -> assert false (* split off above *)
+
+(* a cleared journal for a task to record into: recycled when one is
+   spare, else fresh *)
+let take_journal st =
+  if st.spare_n = 0 then Journal.create ()
+  else begin
+    st.spare_n <- st.spare_n - 1;
+    st.spare.(st.spare_n)
+  end
+
+let give_journal st j =
+  Journal.clear j;
+  if st.spare_n = Array.length st.spare then begin
+    let a = Array.make (max 4 (2 * st.spare_n)) j in
+    Array.blit st.spare 0 a 0 st.spare_n;
+    st.spare <- a
+  end;
+  st.spare.(st.spare_n) <- j;
+  st.spare_n <- st.spare_n + 1
+
+(* A checkpoint leaves the window (committed, or discarded by a
+   squash): the one place its task's journals go back to the free list.
+   Nothing reads them afterwards — a commit has applied and counted its
+   writes first — and [cp_task] is cleared so nothing can. *)
+let leave st cp =
+  match cp.cp_task with
+  | None -> ()
+  | Some task ->
+    cp.cp_task <- None;
+    give_journal st task.Task.reads;
+    give_journal st task.Task.writes
 
 let completed (task : Task.t) =
   match task.status with

@@ -1,10 +1,10 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Full = Mssp_state.Full
+module Live_in = Mssp_state.Live_in
 module Instr = Mssp_isa.Instr
 module Layout = Mssp_isa.Layout
 module Program = Mssp_isa.Program
-module Reg = Mssp_isa.Reg
 module Distill = Mssp_distill.Distill
 module Hierarchy = Mssp_cache.Cache.Hierarchy
 module Journal = Mssp_task.Journal
@@ -191,21 +191,22 @@ let step m =
       Full.set_pc s (pc + 1);
       cost)
 
+(* O(registers): the store buffer folds into the dirty set (O(stores
+   since the last checkpoint)), and the checkpoint is the PC, one copy of
+   the register file, and that dirty set by reference *)
 let checkpoint m e =
   let cfg = m.config in
-  if cfg.Mssp_config.control_only_master then Fragment.singleton Cell.Pc e
-  else if cfg.isolated_slaves then Fragment.add Cell.Pc e (Full.snapshot m.state)
+  if cfg.Mssp_config.control_only_master then Live_in.pc_only e
+  else if cfg.isolated_slaves then
+    Live_in.of_fragment (Fragment.add Cell.Pc e (Full.snapshot m.state))
   else begin
-    Journal.iter_mem
-      (fun a v -> m.dirty <- Fragment.add (Cell.Mem a) v m.dirty)
-      m.stores;
-    Journal.clear m.stores;
-    let f = ref (Fragment.add Cell.Pc e m.dirty) in
-    for i = 1 to Reg.count - 1 do
-      let r = Reg.of_int i in
-      f := Fragment.add (Cell.Reg r) (Full.get_reg m.state r) !f
+    let b = m.stores in
+    for k = 0 to Journal.mem_count b - 1 do
+      m.dirty <-
+        Fragment.add (Cell.Mem (Journal.mem_addr b k)) (Journal.mem_value b k) m.dirty
     done;
-    !f
+    Journal.clear m.stores;
+    Live_in.of_state ~pc:e m.state m.dirty
   end
 
 let note_pass m e =
@@ -214,7 +215,7 @@ let note_pass m e =
   n
 
 type stop =
-  | Forked of { entry : int; occurrence : int; live_in : Fragment.t; cost : int }
+  | Forked of { entry : int; occurrence : int; live_in : Live_in.t; cost : int }
   | Stopped of int
 
 let run m =

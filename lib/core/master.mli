@@ -16,7 +16,8 @@
     last value per address, O(1) per store — and is folded into the
     cumulative dirty fragment only when a checkpoint is built, the
     fragment every checkpoint shares by reference (HACKING.md invariant
-    3). *)
+    3). A checkpoint is a flat {!Mssp_state.Live_in.t}: the PC, a copy
+    of the register file, and that fragment. *)
 
 type t
 
@@ -75,17 +76,19 @@ val step : t -> int
 val fork_entry : t -> int
 (** The entry of the marker the last {!step} returned {!fork} for. *)
 
-val checkpoint : t -> int -> Mssp_state.Fragment.t
+val checkpoint : t -> int -> Mssp_state.Live_in.t
 (** [checkpoint m e]: the live-in prediction of a task starting at
     original PC [e]. Folds the store buffer into {!dirty} first; the
-    result is the PC and every register on top of {!dirty}, shared by
-    reference ([control_only_master]: the PC alone; [isolated_slaves]:
-    a full snapshot of the master's state). *)
+    result is the PC, one copy of the register file and {!dirty} by
+    reference ({!Mssp_state.Live_in.of_state}): [O(registers)] however
+    large the dirty set, plus [O(log n)] per store since the last
+    checkpoint. [control_only_master]: the PC alone; [isolated_slaves]:
+    a full snapshot of the master's state. *)
 
 (** {1 Running until a fork} *)
 
 type stop =
-  | Forked of { entry : int; occurrence : int; live_in : Mssp_state.Fragment.t; cost : int }
+  | Forked of { entry : int; occurrence : int; live_in : Mssp_state.Live_in.t; cost : int }
       (** a checkpoint for a task at [entry], ending the previous task
           at its [occurrence]-th arrival there; [cost] cycles elapsed *)
   | Stopped of int

@@ -42,6 +42,7 @@ let recover st =
   (* discard all speculative work *)
   stats.tasks_discarded <- stats.tasks_discarded + Queue.length st.window;
   Sim.bump_epoch st.sim;
+  Queue.iter (leave st) st.window;
   Queue.clear st.window;
   st.last_cp <- None;
   Array.fill st.slave_free 0 st.cfg.slaves true;

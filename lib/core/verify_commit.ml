@@ -1,5 +1,4 @@
 open Machine_state
-module Journal = Mssp_task.Journal
 module Reg = Mssp_isa.Reg
 
 let idle = -1
@@ -59,38 +58,25 @@ let trace_verify st cp (task : Task.t) ~live_ins ~consistent =
    check established, so only an inconsistent one reads [arch] again.
 
    Each cell first scores the incumbent: the master's own pre-refinement
-   value, from [cp_master_li]. When no override or fault touched the
-   checkpoint, the task ran on that very fragment: its registers are the
-   task's [li], and a memory first-read of a cell the master bound
-   recorded the master's value. Such a read that matched architected
-   state on a cell the master is still trusted on needs no fragment
-   probe: the score would be a hit on a saturated counter. *)
+   value, read in place from [cp_master_li] — its registers off the flat
+   array, its memory probed only inside its bounds. When no override or
+   fault touched the checkpoint, the task ran on that very live-in, and
+   a memory first-read of a cell the master bound recorded the master's
+   value. Such a read that matched architected state on a cell the
+   master is still trusted on needs no probe: the score would be a hit
+   on a saturated counter. *)
 let train st p cp (task : Task.t) ~consistent =
   let reads = task.reads and mli = cp.cp_master_li in
   let shared = task.live_in == mli in
-  let mregs =
-    if shared then task.li
-    else begin
-      let j = Journal.create ~mem_size:0 () in
-      Fragment.iter_pc_regs (Journal.set j) mli;
-      j
-    end
-  in
-  let mlo, mhi =
-    if shared then (task.live_in_lo, task.live_in_hi)
-    else
-      match Fragment.mem_bounds mli with
-      | Some b -> b
-      | None -> (max_int, min_int)
-  in
+  let mlo = Live_in.mem_lo mli and mhi = Live_in.mem_hi mli in
   let hits = ref 0 and misses = ref 0 in
   for i = 0 to Reg.count - 1 do
     if Journal.has_reg reads i then begin
       let v = Journal.reg reads i in
       let actual = if consistent then v else Full.get_reg st.arch (Reg.of_int i) in
       let s = Predict.reg_slot i in
-      if Journal.has_reg mregs i then
-        Predict.observe_master_slot p s ~supplied:(Journal.reg mregs i) ~actual;
+      if Live_in.has_reg mli i then
+        Predict.observe_master_slot p s ~supplied:(Live_in.reg mli i) ~actual;
       Predict.observe_slot p s actual;
       if v = actual then incr hits else incr misses
     end
@@ -102,7 +88,7 @@ let train st p cp (task : Task.t) ~consistent =
     (if a >= mlo && a <= mhi
         && not (shared && v = actual && Predict.master_trusted p s)
      then
-       match Fragment.find_opt (Cell.Mem a) mli with
+       match Live_in.find_mem mli a with
        | Some supplied -> Predict.observe_master_slot p s ~supplied ~actual
        | None -> ());
     Predict.observe_slot p s actual;
@@ -145,6 +131,7 @@ let commit st cp (task : Task.t) ~live_ins =
   | Reference -> ());
   chaos st cp.cp_id task;
   let live_outs = Task.live_out_size task in
+  leave st cp;
   (* a commit ends the squash streaks of dual mode, burst backoff and
      the committing slave's quarantine count *)
   st.fruitless_squashes <- 0;

@@ -1,5 +1,4 @@
 open Machine_state
-module Journal = Mssp_task.Journal
 
 type offer = Spawned | Parked | Lost
 
@@ -47,24 +46,23 @@ let corrupt st id li =
   | Some i -> (
     let li =
       match Inject.fire i Fplan.Live_in_corrupt ~cycle:(Sim.now st.sim) with
-      | Some a when not (Fragment.is_empty li) ->
-        let bindings = Fragment.to_list li in
-        let c, v = List.nth bindings (id mod List.length bindings) in
+      | Some a when not (Live_in.is_empty li) ->
+        let c, v = Live_in.nth li (id mod Live_in.cardinal li) in
         fault_event st a "live_in_corrupt" (Some id);
-        Fragment.add c (v lxor 0x5A5A5A5A) li
+        Live_in.add c (v lxor 0x5A5A5A5A) li
       | Some _ | None -> li
     in
     match Inject.fire i Fplan.Mem_bit_flip ~cycle:(Sim.now st.sim) with
     | None -> li
     | Some a -> (
-      match pick_mem li id with
+      match pick_mem (Live_in.mem li) id with
       | None -> li
       | Some (addr, v) ->
         let bit =
           (if a.Fplan.magnitude > 0 then a.Fplan.magnitude else id) mod 62
         in
         fault_event st a "mem_bit_flip" (Some id);
-        Fragment.add (Cell.Mem addr) (v lxor (1 lsl bit)) li))
+        Live_in.add (Cell.Mem addr) (v lxor (1 lsl bit)) li))
 
 let spawn st e li =
   let extra = spawn_path_faults st in
@@ -80,7 +78,7 @@ let spawn st e li =
     if st.tracing then begin
       st.temit (Trace.Fork { cycle = Sim.now st.sim; task = id; entry = e });
       (* the prediction as the slave will see it: post fault injection.
-         The fragment is persistent and shared with the checkpoint, so
+         The live-in is immutable and shared with the checkpoint, so
          this emission is O(1) — no per-binding rendering here *)
       st.temit (Trace.Predict { cycle = Sim.now st.sim; task = id; live_in = li })
     end;
@@ -136,7 +134,7 @@ let start st cp s =
   st.slave_free.(s) <- false;
   cp.cp_slave <- s;
   let task =
-    Task.make ~reads_size:st.slave_live_ins.(s) ~id:cp.cp_id
+    Task.make ~reads:(take_journal st) ~writes:(take_journal st) ~id:cp.cp_id
       ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
       ~end_occurrence:cp.cp_end_occurrence ~budget:st.cfg.task_budget
       ~live_in:cp.cp_live_in ()
@@ -157,7 +155,6 @@ let start st cp s =
       task
   in
   cp.cp_task <- Some task;
-  st.slave_live_ins.(s) <- Journal.mem_count task.reads;
   if st.tracing then
     st.temit
       (Trace.Slave_start { cycle = Sim.now st.sim; task = cp.cp_id; slave = s });

@@ -23,7 +23,7 @@ type offer =
       (** a [Checkpoint_drop] outlasted the spawn retries: the
           checkpoint never arrived, squash with [Checkpoint_lost] *)
 
-val offer : t -> int -> Mssp_state.Fragment.t -> offer
+val offer : t -> int -> Mssp_state.Live_in.t -> offer
 (** [offer st e li]: a fork at original PC [e] predicting [li] asks for
     a window slot — parked when the window is full, else spawned. *)
 

@@ -20,7 +20,7 @@
    slot allocates nothing. *)
 
 module Cell = Mssp_state.Cell
-module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Profile = Mssp_profile.Profile
 module Reg = Mssp_isa.Reg
 
@@ -425,40 +425,44 @@ let predict t cell = Option.map snd (pick_with_conf t (find_slot t cell))
    overrides impossible, so turning the predictor on cannot regress a
    healthy run. Only cells the master demonstrably stopped predicting
    (elided chains' residual reads) are taken over. [Pc] is control,
-   never a value to predict. The result keeps the fragment's cell set —
-   only values move. It is built on [frag] itself, which shares its
-   memory part with every checkpoint since the master's last seed: only
-   overridden cells are re-added, and with none overridden the result
-   is [frag], physically.
+   never a value to predict. The result keeps the live-in's cell set —
+   only values move. It is built on [li] itself, read in place: only
+   overridden cells are re-added ([Live_in.add] copies the register
+   array for a register, adds to the memory fragment for memory), and
+   with none overridden the result is [li], physically.
 
    Component confidence saturates at [conf_max], so outside [Broken]
    only demoted cells can be overridden, and those are all the walk
    visits: O(|demoted| log n) per spawn, not a walk over the cumulative
    live-in. *)
-let refine t frag =
+let refine t li =
   let override s c v acc =
     match pick_with_conf t s with
-    | Some (conf, p) when p <> v && conf > get t s f_mconf ->
-      Fragment.add c p acc
+    | Some (conf, p) when p <> v && conf > get t s f_mconf -> Live_in.add c p acc
     | Some _ | None -> acc
   in
   match t.mode with
-  | Off -> frag
+  | Off -> li
   | Broken ->
-    Fragment.fold
+    Live_in.fold
       (fun c v acc ->
         match c with
         | Cell.Pc -> acc
         | Cell.Reg _ | Cell.Mem _ -> override (find_slot t c) c v acc)
-      frag frag
+      li li
   | Last_value | Stride | Context | Tournament ->
-    let acc = ref frag in
+    let acc = ref li in
     for k = 0 to t.dem_n - 1 do
       let s = t.dem.(k) in
-      let c = t.cells.(s) in
-      match (c, Fragment.find_opt c frag) with
-      | Cell.Pc, _ | _, None -> ()
-      | _, Some v -> acc := override s c v !acc
+      match t.cells.(s) with
+      | Cell.Pc -> ()
+      | Cell.Reg r as c ->
+        let i = Reg.to_int r in
+        if Live_in.has_reg li i then acc := override s c (Live_in.reg li i) !acc
+      | Cell.Mem a as c -> (
+        match Live_in.find_mem li a with
+        | Some v -> acc := override s c v !acc
+        | None -> ())
     done;
     !acc
 

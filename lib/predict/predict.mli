@@ -91,12 +91,15 @@ val predict : t -> Mssp_state.Cell.t -> int option
 (** The mode's prediction for a cell, [None] below the confidence
     threshold (or with no training). [Off] never predicts. *)
 
-val refine : t -> Mssp_state.Fragment.t -> Mssp_state.Fragment.t
-(** Override bindings in a live-in fragment where a component is both
-    confident and STRICTLY more confident than the master for that cell.
-    The cell set is preserved; [Pc] is never touched. Does not train.
-    Built on the input: only overridden cells are re-added, and with
-    none overridden the input itself is returned (physically equal). *)
+val refine : t -> Mssp_state.Live_in.t -> Mssp_state.Live_in.t
+(** Override bindings in a checkpoint's live-in where a component is
+    both confident and STRICTLY more confident than the master for that
+    cell. The cell set is preserved; [Pc] is never touched. Does not
+    train. Reads the live-in in place and builds on it: an overridden
+    register copies its register array once per override, an overridden
+    memory cell is added to its memory fragment, and the input's arrays
+    are never written. With none overridden the input itself is
+    returned (physically equal). *)
 
 val conf_threshold : int
 (** Minimum confidence at which a component may override a live-in. *)

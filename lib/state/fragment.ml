@@ -25,16 +25,25 @@ let consistent s1 s2 =
 
 let pc f = find_opt Cell.Pc f
 
-exception Past_regs
+(* [Pc] and the registers sort below every memory cell, and [Mem min_int]
+   below every other memory cell: one split separates the two parts *)
+let split_mem m =
+  let low = Cell.Mem min_int in
+  let regs, at_low, mem = Cell.Map.split low m in
+  (regs, match at_low with None -> mem | Some v -> Cell.Map.add low v mem)
 
-(* [Pc] and the registers sort below every memory cell, so the in-order
-   walk leaves at the first [Mem] key: O(registers + log n) *)
-let iter_pc_regs f m =
-  try
+exception Found of Cell.t * int
+
+let nth m k =
+  if k < 0 then invalid_arg "Fragment.nth";
+  let i = ref k in
+  match
     Cell.Map.iter
-      (fun c v -> if Cell.is_mem c then raise_notrace Past_regs else f c v)
+      (fun c v -> if !i = 0 then raise_notrace (Found (c, v)) else decr i)
       m
-  with Past_regs -> ()
+  with
+  | () -> invalid_arg "Fragment.nth"
+  | exception Found (c, v) -> (c, v)
 
 (* [Cell.is_mem] is monotone in cell order, so both ends are one
    descent each *)

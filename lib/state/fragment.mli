@@ -45,10 +45,15 @@ val consistent : t -> t -> bool
 val pc : t -> int option
 (** Value of the PC cell, if bound. *)
 
-val iter_pc_regs : (Cell.t -> int -> unit) -> t -> unit
-(** The [Pc] and register bindings, in cell order. They sort below every
-    memory cell, so the walk stops at the first memory key:
-    [O(registers + log n)] however much memory is bound. *)
+val split_mem : t -> t * t
+(** [(pc_and_regs, memory)]: the [Pc] and register bindings, and the
+    memory bindings. They sort below every memory cell, so this is one
+    split of the tree: [O(log n)], not a walk over the bindings. *)
+
+val nth : t -> int -> Cell.t * int
+(** [nth f k]: the [k]-th binding (from 0) in increasing cell order,
+    found by an in-order walk that stops there — no list is built.
+    @raise Invalid_argument unless [0 <= k < cardinal f]. *)
 
 val mem_bounds : t -> (int * int) option
 (** [Some (lo, hi)]: the lowest and highest bound memory addresses;

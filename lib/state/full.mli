@@ -40,6 +40,10 @@ val get_reg : t -> Mssp_isa.Reg.t -> int
 val set_reg : t -> Mssp_isa.Reg.t -> int -> unit
 (** Writes to the hardwired zero register are discarded. *)
 
+val copy_regs : t -> int array
+(** The register file as a fresh [Reg.count]-word array indexed by
+    {!Mssp_isa.Reg.to_int}; index 0, the hardwired zero, holds 0. *)
+
 val get_mem : t -> int -> int
 val set_mem : t -> int -> int -> unit
 

@@ -1,6 +1,6 @@
 module Cell = Mssp_state.Cell
-module Fragment = Mssp_state.Fragment
 module Full = Mssp_state.Full
+module Live_in = Mssp_state.Live_in
 module Reg = Mssp_isa.Reg
 module Instr = Mssp_isa.Instr
 module Layout = Mssp_isa.Layout
@@ -35,10 +35,7 @@ type t = {
   end_occurrence : int;
   mutable end_seen : int;
   budget : int;
-  live_in : Fragment.t;
-  li : Journal.t;
-  live_in_lo : int;
-  live_in_hi : int;
+  live_in : Live_in.t;
   reads : Journal.t;
   writes : Journal.t;
   mutable executed : int;
@@ -46,24 +43,17 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
-let make ?reads_size ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
+let make ?reads ?writes ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
     () =
+  (* the checkpoint is read in place: its PC and registers off its flat
+     array, its memory part — the master's cumulative dirty set, shared
+     with every other checkpoint since the master's last seed — probed
+     inside its cached bounds. Nothing is copied per task. *)
   let live_in =
-    if Fragment.mem Cell.Pc live_in then live_in
-    else Fragment.add Cell.Pc start_pc live_in
+    if Live_in.has_pc live_in then live_in
+    else Live_in.add Cell.Pc start_pc live_in
   in
-  (* The checkpoint's memory part is the master's cumulative dirty set,
-     shared by reference with every other checkpoint since the master's
-     last seed: it is probed in place, never copied. Only the PC and the
-     registers — at most 32 cells, the smallest keys — are flattened
-     into [li] for the per-instruction fast path. *)
-  let li = Journal.create ~mem_size:0 () in
-  Fragment.iter_pc_regs (Journal.set li) live_in;
-  let live_in_lo, live_in_hi =
-    match Fragment.mem_bounds live_in with
-    | Some bounds -> bounds
-    | None -> (max_int, min_int)
-  in
+  let journal = function Some j -> j | None -> Journal.create () in
   {
     id;
     start_pc;
@@ -72,26 +62,12 @@ let make ?reads_size ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
     end_seen = 0;
     budget;
     live_in;
-    li;
-    live_in_lo;
-    live_in_hi;
-    reads = Journal.create ?mem_size:reads_size ();
-    writes = Journal.create ();
+    reads = journal reads;
+    writes = journal writes;
     executed = 0;
     status = Running;
     decode = Exec.default_decode;
   }
-
-(* memory live-in probe: the fragment is consulted (and a cell boxed)
-   only inside its address bounds *)
-let find_live_in_mem t a =
-  if a < t.live_in_lo || a > t.live_in_hi then None
-  else Fragment.find_opt (Cell.Mem a) t.live_in
-
-let find_live_in t c =
-  match c with
-  | Cell.Pc | Cell.Reg _ -> Journal.find t.li c
-  | Cell.Mem a -> find_live_in_mem t a
 
 let with_decode decode t = { t with decode }
 
@@ -116,8 +92,8 @@ let make_ctx ?(on_access = no_access) t view =
     | Cell.Reg r ->
       let i = Reg.to_int r in
       if Journal.has_reg t.writes i then Some (Journal.reg t.writes i)
-      else if Journal.has_reg t.li i then begin
-        let v = Journal.reg t.li i in
+      else if Live_in.has_reg t.live_in i then begin
+        let v = Live_in.reg t.live_in i in
         if not (Journal.has_reg t.reads i) then Journal.set_reg t.reads i v;
         Some v
       end
@@ -130,8 +106,8 @@ let make_ctx ?(on_access = no_access) t view =
         | Isolated -> None)
     | Cell.Pc ->
       if Journal.has_pc t.writes then Some (Journal.pc_value t.writes)
-      else if Journal.has_pc t.li then begin
-        let v = Journal.pc_value t.li in
+      else if Live_in.has_pc t.live_in then begin
+        let v = Live_in.pc t.live_in in
         if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
         Some v
       end
@@ -149,7 +125,7 @@ let make_ctx ?(on_access = no_access) t view =
       | Some _ as r -> r
       | None ->
         let v =
-          match find_live_in_mem t a with
+          match Live_in.find_mem t.live_in a with
           | Some v -> v
           | None -> (
             match view with
@@ -282,7 +258,7 @@ let block_read_reg t arch r =
   else if Journal.has_reg t.reads k then Journal.reg t.reads k
   else begin
     let v =
-      if Journal.has_reg t.li k then Journal.reg t.li k
+      if Live_in.has_reg t.live_in k then Live_in.reg t.live_in k
       else Full.get_reg arch r
     in
     Journal.set_reg t.reads k v;
@@ -303,7 +279,7 @@ let block_read_mem t on_access arch a =
     if p >= 0 then Journal.mem_value t.reads p
     else begin
       let v =
-        match find_live_in_mem t a with
+        match Live_in.find_mem t.live_in a with
         | Some v -> v
         | None -> Full.get_mem arch a
       in
@@ -462,7 +438,7 @@ let dispatch_pc t arch =
   if Journal.has_pc t.writes then Journal.pc_value t.writes
   else begin
     let v =
-      if Journal.has_pc t.li then Journal.pc_value t.li else Full.pc arch
+      if Live_in.has_pc t.live_in then Live_in.pc t.live_in else Full.pc arch
     in
     if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
     v
@@ -475,7 +451,7 @@ let shadowed t (b : Spec.sblock) =
   let hi = lo + Array.length b.Spec.s_instrs - 1 in
   not
     (Journal.mem_avoids t.writes ~lo ~hi
-    && (t.live_in_hi < lo || t.live_in_lo > hi))
+    && (Live_in.mem_hi t.live_in < lo || Live_in.mem_lo t.live_in > hi))
 
 let rec block_dispatch t on_access arch eng gen peek =
   match t.status with

@@ -16,12 +16,13 @@
     rule (Definition 5): each step advances the live-out fragment by
     [next].
 
-    While running, the prediction, the recordings and the write buffer
-    live in flat {!Journal.t} buffers (register arrays + an
-    open-addressed memory log), so an instruction pays no balanced-tree
-    lookups and boxes no cell; verify and commit walk the journals in
-    place, and {!reads_fragment}/{!writes_fragment} convert for tests
-    and tools. *)
+    While running, the recordings and the write buffer live in flat
+    {!Journal.t} buffers (register arrays + an open-addressed memory
+    log), and the prediction is the checkpoint's flat
+    {!Mssp_state.Live_in.t}, so an instruction pays no balanced-tree
+    lookup outside the live-in's memory bounds and boxes no cell; verify
+    and commit walk the journals in place, and
+    {!reads_fragment}/{!writes_fragment} convert for tests and tools. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -54,19 +55,12 @@ type t = {
           pass is the boundary (it counted its own marker passes) *)
   mutable end_seen : int;  (** arrivals at [end_pc] so far *)
   budget : int;
-  live_in : Mssp_state.Fragment.t;
-      (** master's prediction; binds [Pc]. Shared with the checkpoint
-          (its memory part is the master's cumulative dirty set) and
-          probed in place — never copied per task *)
-  li : Journal.t;
-      (** the [Pc] and register bindings of [live_in], flattened for the
-          execution fast path; no memory *)
-  live_in_lo : int;
-  live_in_hi : int;
-      (** lowest and highest memory address bound in [live_in]
-          ([live_in_lo > live_in_hi] when none): memory reads outside
-          them skip the fragment probe, and the block executor's
-          shadowing test reads them instead of scanning [live_in] *)
+  live_in : Mssp_state.Live_in.t;
+      (** master's prediction; binds [Pc]. The checkpoint itself, read
+          in place: [Pc] and registers off its flat array, memory (the
+          master's cumulative dirty set, shared with every checkpoint
+          since the master's last seed) probed only inside its cached
+          address bounds — never copied per task *)
   reads : Journal.t;
       (** recorded live-ins: first-read value of every cell obtained from
           outside the write buffer *)
@@ -80,32 +74,26 @@ type t = {
 }
 
 val make :
-  ?reads_size:int ->
+  ?reads:Journal.t ->
+  ?writes:Journal.t ->
   id:int ->
   start_pc:int ->
   end_pc:int option ->
   end_occurrence:int ->
   budget:int ->
-  live_in:Mssp_state.Fragment.t ->
+  live_in:Mssp_state.Live_in.t ->
   unit ->
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
     start position is itself a live-in and is verified like any other.
-    [O(registers + log |live_in|)]: only the [Pc] and register bindings
-    are copied, and [live_in] itself is kept by reference.
+    [live_in] is kept by reference and nothing of it is copied.
 
-    [reads_size] pre-sizes the first-read journal ({!Journal.create}'s
-    [mem_size]); the machine passes the memory first-read count of the
-    same slave's previous task, so a task body that reads hundreds of
-    cells does not re-grow its log from the default. Capacity only: nothing
-    observable depends on it. *)
-
-val find_live_in : t -> Mssp_state.Cell.t -> int option
-(** The live-in prediction for a cell as the executors resolve it: [Pc]
-    and registers from [li], memory from [live_in] probed in place and
-    only inside [live_in_lo..live_in_hi]. Always answers what
-    [Fragment.find_opt c t.live_in] answers. *)
+    [reads] and [writes] are the journals the task records into; they
+    must be empty (fresh or {!Journal.clear}ed) and default to fresh
+    ones. The machine passes recycled journals, which keep the arrays
+    they grew in earlier tasks: on those, [make] allocates only the
+    task record, [O(1)]. Capacity is never observable. *)
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree

@@ -16,11 +16,12 @@
 
     This library sits below the machine core. Events are plain data,
     with one deliberate exception: {!event.Predict} carries the
-    checkpoint's live-in {!Mssp_state.Fragment.t} by reference. The
-    fragment is persistent and already allocated by the machine whether
-    or not tracing is on, so the emission site stays O(1) — rendering
-    cells to strings happens only in the sinks and serializers (use
-    {!event_equal}, not [( = )], to compare events). *)
+    checkpoint's live-in {!Mssp_state.Live_in.t} by reference. The
+    live-in is immutable and already built by the machine whether or
+    not tracing is on, so the emission site stays O(1) — rendering
+    cells to strings happens only in the sinks and serializers, which
+    fold it in ascending cell order (use {!event_equal}, not [( = )], to
+    compare events). *)
 
 (* --- vocabulary ------------------------------------------------------ *)
 
@@ -65,11 +66,13 @@ type verify_outcome =
 type event =
   | Fork of { cycle : int; task : int; entry : int }
       (** master reached a fork marker and cut a checkpoint *)
-  | Predict of { cycle : int; task : int; live_in : Mssp_state.Fragment.t }
+  | Predict of { cycle : int; task : int; live_in : Mssp_state.Live_in.t }
       (** the checkpoint's predicted live-in bindings, post fault
           injection — exactly what the slave will be seeded with. Held by
-          reference (persistent, shared with the checkpoint): the
-          emission site does no per-binding work *)
+          reference (immutable, the checkpoint's own): the emission site
+          does no per-binding work. Serialized as its bindings in
+          ascending cell order, [Pc], registers, then memory by
+          address *)
   | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
       (** value-prediction attribution at verification: how many of the
           head task's recorded first-reads matched architected state
@@ -156,8 +159,9 @@ val event_cycle : event -> int
 
 val event_equal : event -> event -> bool
 (** Structural equality, with [Predict] live-ins compared by content
-    ([Fragment.equal]) rather than tree shape — a fragment rebuilt from
-    JSONL can balance differently from the machine's original. *)
+    ([Live_in.equal]) rather than representation — a live-in rebuilt
+    from JSONL has its own register array, and its memory tree can
+    balance differently from the machine's original. *)
 
 val pp_event : Format.formatter -> event -> unit
 

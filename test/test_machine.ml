@@ -322,8 +322,7 @@ module S = Mssp_core.Machine_state
 module Window = Mssp_core.Window
 module Verify_commit = Mssp_core.Verify_commit
 module Recovery = Mssp_core.Recovery
-module Cell = Mssp_state.Cell
-module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 
 let seam_state config =
   S.create ~reference:false config (distill_of small_program)
@@ -332,7 +331,7 @@ let no_faults = Some (Plan.make [])
 
 let test_window_parks_and_reoffers () =
   let st = seam_state { Config.default with Config.max_in_flight = 1 } in
-  let li = Fragment.singleton Cell.Pc 0 in
+  let li = Live_in.pc_only 0 in
   check "first fork spawns" true (Window.offer st 0x10 li = Window.Spawned);
   check "full window parks" true (Window.offer st 0x20 li = Window.Parked);
   check "the fork is held" true (st.S.master_pending <> None);
@@ -417,8 +416,8 @@ let test_transient_retry_defers () =
   let st = seam_state { Config.default with Config.faults = Some plan } in
   let backoff = st.S.policy.Plan.verify_backoff in
   let cp =
-    S.checkpoint ~id:0 ~entry:0 ~live_in:Fragment.empty
-      ~master_li:Fragment.empty ~extra:0
+    S.checkpoint ~id:0 ~entry:0 ~live_in:Live_in.empty
+      ~master_li:Live_in.empty ~extra:0
   in
   cp.S.cp_finished <- true;
   Queue.add cp st.S.window;
@@ -433,6 +432,41 @@ let test_transient_retry_defers () =
     (Verify_commit.examine st);
   check_int "backoff doubles" (2 * backoff) (Verify_commit.backoff st cp);
   check_int "two retries" 2 st.S.stats.S.verify_retries
+
+(* Training reads the master's pre-refinement live-in in place: when an
+   override gave the task a live-in of its own, verifying it allocates
+   no more than when the task ran on the master's — no journal is
+   flattened from the master's live-in per verify. *)
+let test_train_reads_master_live_in_in_place () =
+  let words ~override =
+    let st =
+      seam_state { Config.default with Config.predict = Mssp_predict.Predict.Tournament }
+    in
+    let entry = Full.pc st.S.arch in
+    let master_li =
+      Live_in.of_state ~pc:entry st.S.arch Mssp_state.Fragment.empty
+    in
+    let live_in =
+      if override then
+        Live_in.add (Mssp_state.Cell.Reg t5) (Full.get_reg st.S.arch t5) master_li
+      else master_li
+    in
+    let cp = S.checkpoint ~id:0 ~entry ~live_in ~master_li ~extra:0 in
+    Queue.add cp st.S.window;
+    ignore (Window.start st cp 0 : int);
+    Window.finish st cp 0;
+    let before = Gc.minor_words () in
+    let v = Verify_commit.examine st in
+    let w = Gc.minor_words () -. before in
+    check_int "the head commits the program's halt" Verify_commit.halted v;
+    w
+  in
+  let shared = words ~override:false and overridden = words ~override:true in
+  if overridden > shared then
+    Alcotest.failf
+      "verify with an overridden register: %.0f minor words, %.0f on the \
+       master's own live-in"
+      overridden shared
 
 let () =
   Alcotest.run "machine"
@@ -478,5 +512,7 @@ let () =
             test_commit_cost;
           Alcotest.test_case "verify/commit: a transient retry defers the head"
             `Quick test_transient_retry_defers;
+          Alcotest.test_case "verify/commit: training reads the master's live-in"
+            `Quick test_train_reads_master_live_in_in_place;
         ] );
     ]

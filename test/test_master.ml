@@ -146,7 +146,11 @@ let lock_step ?(config = Config.default) ?(steps = 4_000) (d : Distill.t) =
           let live_in = Master.checkpoint m e in
           if carries_dirty && not (Fragment.equal r.r_dirty (Master.dirty m)) then
             Error (Printf.sprintf "fork %d (step %d): dirty sets differ" forks k)
-          else if not (Fragment.equal (reference_checkpoint config r e) live_in) then
+          else if
+            not
+              (Fragment.equal (reference_checkpoint config r e)
+                 (Mssp_state.Live_in.to_fragment live_in))
+          then
             Error (Printf.sprintf "fork %d (step %d): checkpoints differ" forks k)
           else begin
             Full.set_pc r.r_state (Full.pc r.r_state + 1);
@@ -246,6 +250,20 @@ let store_free =
   Dsl.jmp b "loop";
   package tiny_original (Dsl.build b ())
 
+(* [n] stores to distinct words, then a fork marker forever *)
+let storing n =
+  let b = Dsl.create ~base:Layout.distilled_base () in
+  Dsl.li b t0 n;
+  Dsl.label b "store";
+  Dsl.alu b Instr.Add t1 gp t0;
+  Dsl.st b t0 t1 0;
+  Dsl.alui b Instr.Sub t0 t0 1;
+  Dsl.br b Instr.Gt t0 zero "store";
+  Dsl.label b "fork";
+  Dsl.raw b (Instr.Fork tiny_original.Program.entry);
+  Dsl.jmp b "fork";
+  package tiny_original (Dsl.build b ())
+
 (* --- tests --------------------------------------------------------------- *)
 
 let prop_fuzz =
@@ -333,7 +351,7 @@ let test_buffer_folds () =
   (* the patch store, then the two output words: three addresses *)
   check_int "buffered before the checkpoint" 3 (Master.buffered m);
   check "dirty untouched between forks" true (Fragment.is_empty (Master.dirty m));
-  ignore (Master.checkpoint m (Master.fork_entry m) : Fragment.t);
+  ignore (Master.checkpoint m (Master.fork_entry m) : Mssp_state.Live_in.t);
   check_int "folded at the checkpoint" 0 (Master.buffered m);
   check_int "dirty holds them" 3 (Fragment.cardinal (Master.dirty m));
   Master.reseed m (arch_of d) ~pc:d.Distill.distilled.Program.entry;
@@ -358,6 +376,34 @@ let test_allocation () =
     Alcotest.failf "10,000 store-free master steps allocated %.0f minor words"
       words
 
+(* A checkpoint is the PC, one copy of the register file and the dirty
+   set by reference: once the stores are folded, building one costs the
+   same handful of words over 16 dirty cells as over 4,096. *)
+let checkpoint_words n =
+  let d = storing n in
+  let m =
+    Master.create ~config:Config.default ~cache:(fresh_cache ()) ~decode:(images d)
+      d (arch_of d)
+  in
+  let rec to_fork () = if Master.step m <> Master.fork then to_fork () in
+  to_fork ();
+  let e = Master.fork_entry m in
+  ignore (Master.checkpoint m e : Mssp_state.Live_in.t);
+  check_int "stores folded into the dirty set" n (Fragment.cardinal (Master.dirty m));
+  let reps = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (Master.checkpoint m e))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int reps
+
+let test_checkpoint_allocation () =
+  let small = checkpoint_words 16 and big = checkpoint_words 4096 in
+  if small <> big || big > 64. then
+    Alcotest.failf
+      "Master.checkpoint: %.1f minor words over 16 dirty cells, %.1f over 4096"
+      small big
+
 let () =
   Alcotest.run "master"
     [
@@ -373,5 +419,9 @@ let () =
       ( "store buffer",
         [ Alcotest.test_case "folds at checkpoints" `Quick test_buffer_folds ] );
       ( "allocation",
-        [ Alcotest.test_case "store-free steps allocate nothing" `Quick test_allocation ] );
+        [
+          Alcotest.test_case "store-free steps allocate nothing" `Quick test_allocation;
+          Alcotest.test_case "checkpoints cost the same at any dirty size" `Quick
+            test_checkpoint_allocation;
+        ] );
     ]

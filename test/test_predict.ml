@@ -21,12 +21,17 @@ module Config = Mssp_core.Mssp_config
 module B = Mssp_baseline.Baseline
 module W = Mssp_workload.Workload
 module Predict = Mssp_predict.Predict
+module Live_in = Mssp_state.Live_in
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let cell = Cell.Mem 0x4242
 
 let observe_all t c values = List.iter (Predict.observe t c) values
+
+(* [Predict.refine] on a fragment's flat form, read back as a fragment *)
+let refine_fragment t frag =
+  Live_in.to_fragment (Predict.refine t (Live_in.of_fragment frag))
 
 let component_prediction t c name =
   let rec find = function
@@ -135,19 +140,19 @@ let test_master_incumbent () =
   check_int "untracked master is fully trusted" 7
     (Predict.master_confidence t cell);
   check "refine is identity while the master never missed" true
-    (Fragment.equal (Predict.refine t frag) frag);
+    (Fragment.equal (refine_fragment t frag) frag);
   (* two recorded master misses collapse the incumbent below the
      component and the takeover happens *)
   Predict.observe_master t cell ~supplied:0 ~actual:40;
   Predict.observe_master t cell ~supplied:0 ~actual:43;
   check "master confidence collapsed" true
     (Predict.master_confidence t cell < Predict.confidence t cell "stride");
-  (match Fragment.find_opt cell (Predict.refine t frag) with
+  (match Fragment.find_opt cell (refine_fragment t frag) with
   | Some v -> check_int "stride takes the cell over" 40 v
   | None -> Alcotest.fail "cell lost by refine");
   (* pc is never touched, and the cell set is preserved *)
   let frag2 = Fragment.add Cell.Pc 0 frag in
-  (match Fragment.find_opt Cell.Pc (Predict.refine t frag2) with
+  (match Fragment.find_opt Cell.Pc (refine_fragment t frag2) with
   | Some v -> check_int "pc untouched" 0 v
   | None -> Alcotest.fail "pc lost by refine");
   (* a recovering master re-earns trust *)
@@ -155,7 +160,7 @@ let test_master_incumbent () =
     Predict.observe_master t cell ~supplied:40 ~actual:40
   done;
   check "master re-earns the cell" true
-    (Fragment.equal (Predict.refine t frag) frag)
+    (Fragment.equal (refine_fragment t frag) frag)
 
 let test_off_never_predicts () =
   let t = Predict.create Predict.Off in
@@ -164,7 +169,7 @@ let test_off_never_predicts () =
     (Predict.predict t cell);
   let frag = Fragment.add cell 1 Fragment.empty in
   check "off refine is identity" true
-    (Fragment.equal (Predict.refine t frag) frag)
+    (Fragment.equal (refine_fragment t frag) frag)
 
 (* --- refine on the shared checkpoint ----------------------------------- *)
 
@@ -247,9 +252,10 @@ let prop_refine_matches_rebuild =
       let frag =
         Fragment.of_list (List.map (fun (c, x) -> (refine_cells.(c), x)) binds)
       in
-      let refined = Predict.refine t frag in
-      Fragment.equal refined (rebuild_refine t frag)
-      && ((not (Fragment.equal refined frag)) || refined == frag))
+      let li = Live_in.of_fragment frag in
+      let refined = Predict.refine t li in
+      Fragment.equal (Live_in.to_fragment refined) (rebuild_refine t frag)
+      && ((not (Live_in.equal refined li)) || refined == li))
 
 (* --- differential: dense slots against the Cell-keyed model ----------
 
@@ -427,15 +433,88 @@ let prop_dense_matches_model =
             let frag =
               Fragment.of_list (List.map (fun (c, v) -> (diff_cells.(c), v)) binds)
             in
-            let r = Predict.refine t frag and r' = Model.refine m frag in
-            if not (Fragment.equal r r') then
+            let li = Live_in.of_fragment frag in
+            let r = Predict.refine t li and r' = Model.refine m frag in
+            if not (Fragment.equal (Live_in.to_fragment r) r') then
               fail "after %s: refine %s, model %s" (show_diff_step step)
-                (Fragment.show r) (Fragment.show r');
-            if (r == frag) <> (r' == frag) then
+                (Fragment.show (Live_in.to_fragment r))
+                (Fragment.show r');
+            if (r == li) <> (r' == frag) then
               fail "after %s: physical identity differs" (show_diff_step step);
             check_cells step [])
         steps;
       true)
+
+(* --- refine on a checkpoint-shaped live-in ------------------------------
+
+   The master's checkpoint binds the PC and every register in one flat
+   array, which the task, the trace and any sibling live-in built on it
+   share. After random training, refining such a live-in must answer
+   what the Cell-keyed model answers on its fragment, in every mode —
+   [Broken] overrides registers too — return its input physically when
+   the model overrides nothing, and leave the input and a sibling
+   sharing its register array untouched. *)
+
+let arbitrary_flat_refine_case =
+  let open QCheck.Gen in
+  let cell = int_bound (Array.length diff_cells - 1) in
+  let v = frequency [ (5, return 1); (1, diff_value) ] in
+  let step =
+    frequency
+      [
+        (3, map2 (fun c x -> Observe (c, x)) cell v);
+        (2, map3 (fun c s a -> Master (c, s, a)) cell v v);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (m, steps, values) ->
+      Printf.sprintf "%s: %d training steps, checkpoint [%s]"
+        (Predict.mode_to_string m) (List.length steps)
+        (String.concat "; " (List.map string_of_int values)))
+    (triple
+       (oneofl Predict.[ Off; Last_value; Stride; Context; Tournament; Broken ])
+       (list_size (int_bound 120) step)
+       (list_repeat (Array.length diff_cells) v))
+
+(* PC, every register (the diff cells' from [values], the rest 0) and
+   the diff cells' memory, built the way the master builds it *)
+let flat_checkpoint values =
+  let s = Full.create () in
+  let pc = ref 0 and mem = ref Fragment.empty in
+  List.iteri
+    (fun i v ->
+      match diff_cells.(i) with
+      | Cell.Pc -> pc := v
+      | Cell.Reg r -> Full.set_reg s r v
+      | Cell.Mem _ as c -> mem := Fragment.add c v !mem)
+    values;
+  Live_in.of_state ~pc:!pc s !mem
+
+let prop_flat_refine_matches_model =
+  QCheck.Test.make
+    ~name:"refine on a flat checkpoint = the model, input never written"
+    ~count:300 arbitrary_flat_refine_case (fun (mode, steps, values) ->
+      let t = Predict.create mode in
+      let m =
+        Model.create (Option.get (Model.mode_of_string (Predict.mode_to_string mode)))
+      in
+      List.iter
+        (function
+          | Observe (c, x) ->
+            Predict.observe t diff_cells.(c) x;
+            Model.observe m diff_cells.(c) x
+          | Master (c, supplied, actual) ->
+            Predict.observe_master t diff_cells.(c) ~supplied ~actual;
+            Model.observe_master m diff_cells.(c) ~supplied ~actual)
+        steps;
+      let li = flat_checkpoint values in
+      let sibling = Live_in.add (Cell.Mem 0x777) 5 li in
+      let frag = Live_in.to_fragment li and sib = Live_in.to_fragment sibling in
+      let r = Predict.refine t li and r' = Model.refine m frag in
+      Fragment.equal (Live_in.to_fragment r) r'
+      && (r == li) = (r' == frag)
+      && Fragment.equal (Live_in.to_fragment li) frag
+      && Fragment.equal (Live_in.to_fragment sibling) sib)
 
 (* --- warm-up from the profiler's streams ------------------------------ *)
 
@@ -567,6 +646,7 @@ let () =
           Mssp_testkit.to_alcotest prop_dense_matches_model;
           Alcotest.test_case "trained slots allocate nothing" `Quick
             test_observe_allocates_nothing;
+          Mssp_testkit.to_alcotest prop_flat_refine_matches_model;
         ] );
       ( "machine",
         [

@@ -366,7 +366,7 @@ let test_task_with_decode_neutral () =
   Full.load s p;
   let fresh () =
     Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc:None ~end_occurrence:1
-      ~budget:1000 ~live_in:Fragment.empty ()
+      ~budget:1000 ~live_in:Mssp_state.Live_in.empty ()
   in
   let view = Task.Fallback s in
   let plain = fresh () in

@@ -41,11 +41,11 @@ let load_arch p =
   s
 
 (* run one task body, collecting everything a caller can observe *)
-let run_task ~reference ?engine ?reads_size ?(budget = 5_000) ?end_pc
+let run_task ~reference ?engine ?reads ?(budget = 5_000) ?end_pc
     ?(end_occurrence = 1) ?(live_in = Fragment.empty) arch (p : Program.t) =
   let t =
-    Task.make ?reads_size ~id:0 ~start_pc:p.Program.entry ~end_pc
-      ~end_occurrence ~budget ~live_in ()
+    Task.make ?reads ~id:0 ~start_pc:p.Program.entry ~end_pc
+      ~end_occurrence ~budget ~live_in:(Mssp_state.Live_in.of_fragment live_in) ()
   in
   let acc = ref [] in
   let on_access a = acc := a :: !acc in
@@ -295,29 +295,31 @@ let test_thousand_first_reads () =
   check "more than 1000 first-reads" true
     (Mssp_task.Journal.mem_count t.Task.reads > 1000)
 
-(* small -> large -> small tasks on one persistent engine, each task's
-   reads journal sized from the previous task's first-read count, as the
-   machine sizes a slave's next task: the hint undershoots the large
-   task and overshoots the small one after it, and neither may show *)
+(* small -> large -> small tasks on one persistent engine and one
+   reads journal, cleared between tasks as the machine recycles a task's
+   journals: its capacity, the size the previous task grew it to, is too
+   small for the large task and oversized for the small one after it,
+   and neither may show *)
 let test_size_hint_sequence () =
   let arch = load_arch summing_loop in
   let engine =
     Mssp_seq.Sblock.Spec.create ~decode:Mssp_seq.Exec.default_decode ()
   in
-  let hint = ref None in
+  let reads = Mssp_task.Journal.create () in
   List.iter
     (fun n ->
       let live_in = count_live_in n in
+      Mssp_task.Journal.clear reads;
       let ((_, t, _) as on) =
-        run_task ~reference:false ~engine ?reads_size:!hint ~budget:10_000
-          ~live_in arch summing_loop
+        run_task ~reference:false ~engine ~reads ~budget:10_000 ~live_in arch
+          summing_loop
       in
       let off =
         run_task ~reference:true ~budget:10_000 ~live_in arch summing_loop
       in
       check (Printf.sprintf "%d-trip task = single-step" n) true
         (same_observables on off);
-      hint := Some (Mssp_task.Journal.mem_count t.Task.reads))
+      check "the recycled journal recorded" true (t.Task.reads == reads))
     [ 3; 1100; 3; 1100 ]
 
 (* --- property tests: fuzz programs, SMC boosted ------------------------ *)

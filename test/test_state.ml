@@ -370,6 +370,136 @@ let prop_paged_matches_hashtbl_reference =
       in
       same_trace && Full.pc full = r.Ref_state.pc && regs_ok && mem_ok)
 
+
+(* --- Live_in: the flat checkpoint is the fragment it replaced ---
+
+   Each case builds a live-in the way [Master.checkpoint] does in one of
+   its modes (tracked: PC + every register + a dirty set; control-only:
+   the PC; isolated: PC + a full snapshot), or flattens an arbitrary
+   fragment, next to the fragment the earlier fragment-building
+   checkpoint produced for the same state. Every query must agree:
+   [find] on bound and unbound cells, fold order, cardinality, the k-th
+   binding, the memory part and its bounds; the round trips through
+   [of_fragment]/[to_fragment] are the identity, and [add] matches
+   [Fragment.add] without touching its input. Addresses include
+   negatives and ones beyond the 16M-word paged span. *)
+
+type live_in_mode = Tracked | Control_only | Isolated | Flattened
+
+let live_in_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 40);
+        (1, int_range (-40) (-1));
+        (1, map (fun k -> (1 lsl 24) + k) (int_bound 20));
+        (1, oneofl [ min_int; max_int; 1 lsl 40; -(1 lsl 40) ]);
+      ])
+
+let live_in_cell =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Cell.Pc);
+        (3, map (fun i -> Cell.Reg (Reg.of_int (1 + (i mod 31)))) nat);
+        (6, map Cell.mem live_in_addr);
+      ])
+
+let arbitrary_live_in_case =
+  let open QCheck.Gen in
+  let mode = oneofl [ Tracked; Control_only; Isolated; Flattened ] in
+  let reg_write = pair (int_range 1 31) small_signed_int in
+  let mem_write = pair live_in_addr small_signed_int in
+  let binding = pair live_in_cell small_signed_int in
+  QCheck.make
+    ~print:(fun (m, e, regs, mem, dirty, frag, probes, extra) ->
+      let binds l =
+        String.concat "; "
+          (List.map (fun (c, v) -> Printf.sprintf "%s=%d" (Cell.show c) v) l)
+      in
+      let addrs l =
+        String.concat "; " (List.map (fun (a, v) -> Printf.sprintf "%d=%d" a v) l)
+      in
+      Printf.sprintf
+        "%s pc %d regs [%s] mem [%s] dirty [%s] fragment {%s} probes [%s] \
+         add %s"
+        (match m with
+        | Tracked -> "tracked"
+        | Control_only -> "control-only"
+        | Isolated -> "isolated"
+        | Flattened -> "flattened")
+        e (addrs regs) (addrs mem) (addrs dirty) (binds frag)
+        (String.concat "; " (List.map Cell.show probes))
+        (binds [ extra ]))
+    (map
+       (fun ((m, e, regs, mem), (dirty, frag, probes, extra)) ->
+         (m, e, regs, mem, dirty, frag, probes, extra))
+       (pair
+          (quad mode small_signed_int
+             (list_size (int_bound 12) reg_write)
+             (list_size (int_bound 12) mem_write))
+          (quad
+             (list_size (int_bound 16) mem_write)
+             (list_size (int_bound 24) binding)
+             (list_size (int_bound 24) live_in_cell)
+             binding)))
+
+(* the live-in and the fragment the fragment-building checkpoint made *)
+let live_in_pair (m, e, regs, mem, dirty, frag, _, _) =
+  let s = Full.create () in
+  List.iter (fun (i, v) -> Full.set_reg s (Reg.of_int i) v) regs;
+  List.iter (fun (a, v) -> Full.set_mem s a v) mem;
+  let dirty =
+    List.fold_left (fun f (a, v) -> Fragment.add (Cell.mem a) v f) Fragment.empty dirty
+  in
+  match m with
+  | Tracked ->
+    let f = ref (Fragment.add Cell.Pc e dirty) in
+    for i = 1 to Reg.count - 1 do
+      let r = Reg.of_int i in
+      f := Fragment.add (Cell.Reg r) (Full.get_reg s r) !f
+    done;
+    (Live_in.of_state ~pc:e s dirty, !f)
+  | Control_only -> (Live_in.pc_only e, Fragment.singleton Cell.Pc e)
+  | Isolated ->
+    let f = Fragment.add Cell.Pc e (Full.snapshot s) in
+    (Live_in.of_fragment f, f)
+  | Flattened ->
+    let f = Fragment.of_list frag in
+    (Live_in.of_fragment f, f)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let prop_live_in_is_its_fragment =
+  QCheck.Test.make ~name:"flat live-in = the checkpoint fragment, every query"
+    ~count:500 arbitrary_live_in_case (fun case ->
+      let li, f = live_in_pair case in
+      let _, _, _, _, _, _, probes, (xc, xv) = case in
+      let bindings = Fragment.to_list f in
+      let n = List.length bindings in
+      let mem_part = Fragment.filter (fun c _ -> Cell.is_mem c) f in
+      let bounds_agree =
+        match Fragment.mem_bounds f with
+        | Some (lo, hi) -> Live_in.mem_lo li = lo && Live_in.mem_hi li = hi
+        | None -> Live_in.mem_lo li > Live_in.mem_hi li
+      in
+      Fragment.equal (Live_in.to_fragment li) f
+      && List.rev (Live_in.fold (fun c v acc -> (c, v) :: acc) li []) = bindings
+      && Live_in.cardinal li = n
+      && Live_in.is_empty li = (n = 0)
+      && List.for_all2 (fun k b -> Live_in.nth li k = b) (List.init n Fun.id) bindings
+      && raises_invalid (fun () -> Live_in.nth li n)
+      && raises_invalid (fun () -> Live_in.nth li (-1))
+      && List.for_all
+           (fun c -> Live_in.find li c = Fragment.find_opt c f)
+           (probes @ List.map fst bindings)
+      && Fragment.equal (Live_in.mem li) mem_part
+      && bounds_agree
+      && Live_in.equal (Live_in.of_fragment (Live_in.to_fragment li)) li
+      && Fragment.equal (Live_in.to_fragment (Live_in.of_fragment f)) f
+      && Fragment.equal (Live_in.to_fragment (Live_in.add xc xv li)) (Fragment.add xc xv f)
+      && Fragment.equal (Live_in.to_fragment li) f)
+
 let () =
   Alcotest.run "state"
     [
@@ -403,4 +533,5 @@ let () =
             test_span_edge_straddle;
           Mssp_testkit.to_alcotest prop_paged_matches_hashtbl_reference;
         ] );
+      ("live-in", [ Mssp_testkit.to_alcotest prop_live_in_is_its_fragment ]);
     ]

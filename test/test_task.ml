@@ -4,6 +4,7 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Full = Mssp_state.Full
+module Live_in = Mssp_state.Live_in
 module Layout = Mssp_isa.Layout
 module Instr = Mssp_isa.Instr
 module Task = Mssp_task.Task
@@ -39,7 +40,7 @@ let head = simple_loop.Mssp_isa.Program.entry
 
 let make_task ?(occurrence = 1) ?(budget = 1000) ~live_in ~end_pc () =
   Task.make ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
-    ~live_in ()
+    ~live_in:(Live_in.of_fragment live_in) ()
 
 let t0_cell = Cell.Reg t0
 let t1_cell = Cell.Reg t1
@@ -121,7 +122,7 @@ let test_isolated_missing_memory_reads_zero () =
   let live_in = Fragment.add Cell.Pc p.Mssp_isa.Program.entry (Full.snapshot full) in
   let task =
     Task.make ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in ()
+      ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in) ()
   in
   check "halts" true (Task.run task Task.Isolated = Task.Complete Task.Program_halted);
   check "zero read recorded" true
@@ -140,7 +141,7 @@ let test_io_refusal () =
   let live_in = Fragment.singleton Cell.Pc p.Mssp_isa.Program.entry in
   let task =
     Task.make ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in ()
+      ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in) ()
   in
   (match Task.run task (fallback arch) with
   | Task.Failed (Task.Io_speculative c) ->
@@ -156,7 +157,7 @@ let test_fault_reported () =
   let live_in = Fragment.singleton Cell.Pc 0 in
   let task =
     Task.make ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
-      ~live_in ()
+      ~live_in:(Live_in.of_fragment live_in) ()
   in
   match Task.run task (fallback arch) with
   | Task.Failed (Task.Fault _) -> ()
@@ -186,29 +187,28 @@ let test_live_in_size_counts_reads_only () =
   check "live_in_size = recorded" true
     (Task.live_in_size task = Journal.cardinal task.Task.reads)
 
-(* --- the layered live-in view: PC and registers flattened, memory
-   probed in the shared checkpoint fragment --- *)
+(* --- the live-in read in place: PC and registers off the checkpoint's
+   flat array, memory probed in its shared fragment --- *)
 
-(* a checkpoint shaped like the master's: PC, every register, and
-   [n] dirty memory words *)
+(* a checkpoint built like the master's: PC, every register, and [n]
+   dirty memory words *)
 let checkpoint_with_mem n =
-  let f = ref (Fragment.singleton Cell.Pc head) in
-  List.iter
-    (fun r ->
-      match Cell.reg r with
-      | Some c -> f := Fragment.add c (Mssp_isa.Reg.to_int r) !f
-      | None -> ())
-    Mssp_isa.Reg.all;
+  let s = Full.create () in
+  List.iter (fun r -> Full.set_reg s r (Mssp_isa.Reg.to_int r)) Mssp_isa.Reg.all;
+  let mem = ref Fragment.empty in
   for a = 0 to n - 1 do
-    f := Fragment.add (Cell.mem (0x10000 + (3 * a))) a !f
+    mem := Fragment.add (Cell.mem (0x10000 + (3 * a))) a !mem
   done;
-  !f
+  Live_in.of_state ~pc:head s !mem
 
-let minor_words_of_make live_in =
+let minor_words_of_make ?reads ?writes live_in =
   let reps = 20 in
   let before = Gc.minor_words () in
   for _ = 1 to reps do
-    ignore (Sys.opaque_identity (make_task ~live_in ~end_pc:None ()))
+    ignore
+      (Sys.opaque_identity
+         (Task.make ?reads ?writes ~id:0 ~start_pc:head ~end_pc:None
+            ~end_occurrence:1 ~budget:1000 ~live_in ()))
   done;
   (Gc.minor_words () -. before) /. float_of_int reps
 
@@ -220,16 +220,42 @@ let test_make_cost_independent_of_live_in_memory () =
       "Task.make: %.0f minor words at 4096 memory cells, %.0f at 16" w_big
       w_small;
   check "the checkpoint is kept by reference" true
-    ((make_task ~live_in:big ~end_pc:None ()).Task.live_in == big)
+    ((Task.make ~id:0 ~start_pc:head ~end_pc:None ~end_occurrence:1
+        ~budget:1000 ~live_in:big ())
+       .Task.live_in == big)
+
+(* On recycled journals (the machine's free list), making a task is the
+   task record and nothing else, however large the checkpoint: the
+   journals keep the arrays an earlier task grew, so none is
+   reallocated. *)
+let test_make_on_recycled_journals () =
+  let arch = arch_of simple_loop in
+  let reads = Journal.create () and writes = Journal.create () in
+  let warm =
+    Task.make ~reads ~writes ~id:0 ~start_pc:head ~end_pc:None
+      ~end_occurrence:1 ~budget:1000
+      ~live_in:(Live_in.of_fragment (Fragment.of_list [ (t0_cell, 40) ]))
+      ()
+  in
+  ignore (Task.run warm (fallback arch) : Task.status);
+  Journal.clear reads;
+  Journal.clear writes;
+  List.iter
+    (fun n ->
+      let w = minor_words_of_make ~reads ~writes (checkpoint_with_mem n) in
+      if w > 24. then
+        Alcotest.failf
+          "Task.make on recycled journals: %.1f minor words at %d memory cells"
+          w n)
+    [ 16; 4096 ]
 
 (* A warm block-journaled run allocates no more than one minor word per
    retired instruction, journal construction aside: the block rung
    builds no closures and boxes no cells, and probes, first-read staging
    and buffered stores go straight into flat journal arrays. The body
    loops over loads, ALU work and a store, on a persistent engine whose
-   blocks an earlier run built; the measured task's reads journal is
-   sized from that run's first-read count, as the machine sizes a
-   slave's next task from its previous one. *)
+   blocks an earlier run built; the measured task records into that
+   run's journals, cleared, as the machine recycles them. *)
 let looping_body =
   build (fun b ->
       let buf = Dsl.alloc b 48 in
@@ -253,13 +279,16 @@ let test_warm_run_allocation () =
   in
   let accesses = ref 0 in
   let on_access _ = incr accesses in
-  let fresh ?reads_size () =
-    Task.make ?reads_size ~id:0 ~start_pc:looping_body.Mssp_isa.Program.entry
-      ~end_pc:None ~end_occurrence:1 ~budget:100_000 ~live_in:Fragment.empty ()
+  let fresh ?reads ?writes () =
+    Task.make ?reads ?writes ~id:0
+      ~start_pc:looping_body.Mssp_isa.Program.entry ~end_pc:None
+      ~end_occurrence:1 ~budget:100_000 ~live_in:Live_in.empty ()
   in
   let warm = fresh () in
   ignore (Task.run ~on_access ~engine warm view : Task.status);
-  let task = fresh ~reads_size:(Journal.mem_count warm.Task.reads) () in
+  Journal.clear warm.Task.reads;
+  Journal.clear warm.Task.writes;
+  let task = fresh ~reads:warm.Task.reads ~writes:warm.Task.writes () in
   let before = Gc.minor_words () in
   let status = Task.run ~on_access ~engine task view in
   let words = Gc.minor_words () -. before in
@@ -304,8 +333,11 @@ let prop_live_in_view_matches_fragment =
     arbitrary_checkpoint_and_probes (fun (bindings, probes) ->
       let live_in = Fragment.of_list bindings in
       let task = make_task ~live_in ~end_pc:None () in
-      let checkpoint = task.Task.live_in in
-      let agrees c = Task.find_live_in task c = Fragment.find_opt c checkpoint in
+      let checkpoint =
+        if Fragment.mem Cell.Pc live_in then live_in
+        else Fragment.add Cell.Pc head live_in
+      in
+      let agrees c = Live_in.find task.Task.live_in c = Fragment.find_opt c checkpoint in
       List.for_all agrees probes
       && List.for_all (fun (c, _) -> agrees c) (Fragment.to_list checkpoint))
 
@@ -494,7 +526,7 @@ let prop_live_ins_consistent_matches_cell_walk =
       let arch = arch_of p in
       let task =
         Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-          ~end_occurrence:1 ~budget ~live_in:Fragment.empty ()
+          ~end_occurrence:1 ~budget ~live_in:Live_in.empty ()
       in
       ignore (Task.run task (fallback arch) : Task.status);
       let agrees () =
@@ -527,7 +559,8 @@ let prop_task_matches_abstract_evolution =
       let task =
         Task.make ~id:0
           ~start_pc:(Option.get (Fragment.pc live_in))
-          ~end_pc:None ~end_occurrence:1 ~budget:n ~live_in ()
+          ~end_pc:None ~end_occurrence:1 ~budget:n
+          ~live_in:(Live_in.of_fragment live_in) ()
       in
       let status = Task.run task Task.Isolated in
       let sim_result = Fragment.superimpose live_in (Task.writes_fragment task) in
@@ -571,6 +604,8 @@ let () =
           Mssp_testkit.to_alcotest prop_live_in_view_matches_fragment;
           Alcotest.test_case "warm run allocation per instruction" `Quick
             test_warm_run_allocation;
+          Alcotest.test_case "make on recycled journals allocates the record"
+            `Quick test_make_on_recycled_journals;
         ] );
       ( "journal",
         [

@@ -442,6 +442,90 @@ let prop_jsonl_roundtrip =
           List.length parsed = List.length events
           && List.for_all2 Trace.event_equal parsed events))
 
+(* [Predict] carries the checkpoint's flat live-in; its JSONL form lists
+   the bindings in ascending cell order — [Pc], registers, memory by
+   address — exactly as the fragment the live-in stands for would, and
+   parsing rebuilds an equal live-in. Live-ins are checkpoint-shaped
+   (every register over a dirty set) or partial, with negative and
+   beyond-16M addresses. *)
+let arbitrary_predict_event =
+  let open QCheck.Gen in
+  let module Cell = Mssp_state.Cell in
+  let addr =
+    frequency
+      [
+        (4, int_range 0 64);
+        (1, int_range (-64) (-1));
+        (1, map (fun k -> (1 lsl 24) + k) (int_bound 64));
+        (1, oneofl [ min_int; max_int ]);
+      ]
+  in
+  let cell =
+    frequency
+      [
+        (1, return Cell.Pc);
+        (3, map (fun i -> Cell.Reg (Mssp_isa.Reg.of_int (1 + (i mod 31)))) nat);
+        (6, map Cell.mem addr);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (full, cycle, task, bindings) ->
+      Printf.sprintf "%s cycle %d task %d {%s}"
+        (if full then "checkpoint" else "partial")
+        cycle task
+        (String.concat "; "
+           (List.map (fun (c, v) -> Printf.sprintf "%s=%d" (Cell.show c) v) bindings)))
+    (quad bool nat nat (list_size (int_bound 30) (pair cell int)))
+
+let prop_predict_jsonl_roundtrip =
+  QCheck.Test.make ~name:"trace: Predict live-ins round-trip in cell order"
+    ~count:300 arbitrary_predict_event (fun (full, cycle, task, bindings) ->
+      let module Cell = Mssp_state.Cell in
+      let module Fragment = Mssp_state.Fragment in
+      let module Live_in = Mssp_state.Live_in in
+      let f = Fragment.of_list bindings in
+      let li =
+        if full then begin
+          let s = Full.create () in
+          let pc = ref 0 and mem = ref Fragment.empty in
+          Fragment.iter
+            (fun c v ->
+              match c with
+              | Cell.Pc -> pc := v
+              | Cell.Reg r -> Full.set_reg s r v
+              | Cell.Mem _ -> mem := Fragment.add c v !mem)
+            f;
+          Live_in.of_state ~pc:!pc s !mem
+        end
+        else Live_in.of_fragment f
+      in
+      let ev = Trace.Predict { cycle; task; live_in = li } in
+      let line = Trace.to_jsonl [ ev ] in
+      let rendered =
+        match Tjson.parse (String.trim line) with
+        | Ok j -> (
+          match Option.bind (Tjson.member "live_in" j) Tjson.to_list with
+          | Some l ->
+            List.map
+              (fun b ->
+                match Tjson.to_list b with
+                | Some [ c; v ] -> (Tjson.to_str c, Tjson.to_int v)
+                | _ -> (None, None))
+              l
+          | None -> [])
+        | Error _ -> []
+      in
+      let expected =
+        List.map
+          (fun (c, v) -> (Some (Cell.show c), Some v))
+          (Fragment.to_list (Live_in.to_fragment li))
+      in
+      rendered = expected
+      &&
+      match Trace.of_jsonl line with
+      | Ok [ parsed ] -> Trace.event_equal parsed ev
+      | Ok _ | Error _ -> false)
+
 let () =
   Alcotest.run "trace"
     [
@@ -484,5 +568,6 @@ let () =
           Mssp_testkit.to_alcotest prop_fold_matches_stats;
           Mssp_testkit.to_alcotest prop_disabled_identical;
           Mssp_testkit.to_alcotest prop_jsonl_roundtrip;
+          Mssp_testkit.to_alcotest prop_predict_jsonl_roundtrip;
         ] );
     ]
